@@ -22,11 +22,10 @@ from .spectral import (BlockPlan, LocalPeriodogram, Taper, local_periodogram,
                        write_periodogram_csv)
 from .tvmodel import (BasisSpec, ConstraintReport, CurveSpec, ModelSpec,
                       ParamVector, curve_values, eval_curve,
-                      log_spectral_gradient, log_spectral_gradient_grid,
-                      log_spectral_grid, require_feasible, spectral_density,
-                      validate_params)
+                      log_spectral_gradient_grid, log_spectral_grid,
+                      require_feasible, spectral_density, validate_params)
 from .whittle import (FitResult, WhittleObjective, estimate, fit_summary,
-                      starting_point, whittle_loglik, write_fit_csv)
+                      starting_point, write_fit_csv)
 
 __version__ = "0.1.0"
 
@@ -42,13 +41,13 @@ __all__ = [
     "eval_curve", "fit_summary", "gamma_closed", "gamma_d_block",
     "gamma_quadrature", "gram_closed", "gram_quadrature",
     "innovations_decompose", "known_keys", "lambda_mesh",
-    "load_config", "local_periodogram", "log_spectral_gradient",
-    "log_spectral_gradient_grid", "log_spectral_grid", "make_kernel",
+    "load_config", "local_periodogram", "log_spectral_gradient_grid",
+    "log_spectral_grid", "make_kernel",
     "make_plan", "mc_table_csv", "mse_grid", "mse_grid_csv", "nearest_plan",
     "nearest_valid_plan", "parse_config_text", "parse_range",
     "paths_from_state", "read_series_csv", "require_feasible", "rng_for",
     "run_mc", "simulate_path", "simulate_paths", "spectral_density",
     "starting_point", "taper_weights", "total_mse", "valid_cells",
-    "validate_params", "whittle_loglik", "write_fit_csv", "write_gamma_csv",
+    "validate_params", "write_fit_csv", "write_gamma_csv",
     "write_periodogram_csv", "write_se_csv", "write_series_csv",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import asymptotic_se, gamma_closed, gamma_quadrature
-from .errors import PlanError
+from .errors import ConfigError, PlanError
 from .simulator import innovations_decompose, make_kernel, paths_from_state
 from .spectral import BlockPlan, make_plan, nearest_valid_plan, taper_weights
 from .tvmodel import ModelSpec, require_feasible, theta_values
@@ -28,7 +28,11 @@ logger = logging.getLogger(__name__)
 def default_workers() -> int:
     env = os.environ.get("LSW_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"LSW_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -57,6 +61,7 @@ def _fit_task(args):
 
 def _run_fits(paths, model, plan, taper_kind, workers):
     reps = len(paths)
+    workers = min(workers, reps, os.cpu_count() or 1)
     tasks = [(r, paths[r], model, plan, taper_kind) for r in range(reps)]
     estimates = np.empty((reps, model.n_params))
     converged = np.zeros(reps, dtype=bool)

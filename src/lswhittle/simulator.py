@@ -158,7 +158,10 @@ class SimConfig:
 
 
 def rng_for(seed: int, replication: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, replication)."""
+    """Counter-based generator keyed by two unsigned 64-bit words."""
+    for name, value in (("seed", seed), ("replication", replication)):
+        if not 0 <= value < 2 ** 64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
     key = np.array([seed, replication], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -212,4 +215,11 @@ def read_series_csv(path) -> np.ndarray:
                 out.append(float(parts[1]))
             except (IndexError, ValueError):
                 raise ConfigError(f"{path}: non-numeric value on row {lineno}")
+            try:
+                t = int(parts[0])
+            except ValueError:
+                raise ConfigError(f"{path}: non-integer t on row {lineno}")
+            if t != len(out):
+                raise ConfigError(f"{path}: row {lineno} has t={t}, "
+                                  f"expected t={len(out)}")
     return np.array(out)

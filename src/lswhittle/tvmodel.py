@@ -24,7 +24,8 @@ concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ D_HIGH = 0.499
 SIGMA_LOW = 1e-8
 ARMA_BOUND = 1.0 - 1e-6
 VALIDATION_GRID = 101
+LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,7 @@ class ModelSpec:
 
     @property
     def n_params(self) -> int:
-        n = self.d.size + self.sigma.size
-        n += sum(c.size for c in self.ar) + sum(c.size for c in self.ma)
-        return n
+        return sum(c.size for _, c in self.curves())
 
     def param_names(self) -> tuple:
         names = [f"alpha{j}" for j in range(self.d.size)]
@@ -173,19 +173,18 @@ class ModelSpec:
             names += [f"theta{k + 1}_{j}" for j in range(c.size)]
         return tuple(names)
 
+    def curves(self) -> tuple:
+        """(slot key, CurveSpec) pairs in packed order: d, sigma, AR, MA."""
+        return (("d", self.d), ("sigma", self.sigma),
+                *((f"ar{k + 1}", c) for k, c in enumerate(self.ar)),
+                *((f"ma{k + 1}", c) for k, c in enumerate(self.ma)))
+
     def slices(self) -> dict:
         """Slot map: component name -> slice into the packed vector."""
         out = {}
         pos = 0
-        out["d"] = slice(pos, pos + self.d.size)
-        pos += self.d.size
-        out["sigma"] = slice(pos, pos + self.sigma.size)
-        pos += self.sigma.size
-        for k, c in enumerate(self.ar):
-            out[f"ar{k + 1}"] = slice(pos, pos + c.size)
-            pos += c.size
-        for k, c in enumerate(self.ma):
-            out[f"ma{k + 1}"] = slice(pos, pos + c.size)
+        for key, c in self.curves():
+            out[key] = slice(pos, pos + c.size)
             pos += c.size
         return out
 
@@ -238,17 +237,36 @@ def eval_curve(spec: CurveSpec, coeffs, u):
     return float(vals[0]) if scalar else vals
 
 
+class Slot(NamedTuple):
+    """One curve of a model at fixed points u."""
+
+    key: str            # "d", "sigma", "ar1" or "ma1"
+    spec: CurveSpec
+    design: np.ndarray  # the basis at u: shape (len(u), spec.size)
+    index: slice        # the curve's coefficients in the packed vector
+
+
+def slot_table(model: ModelSpec, u) -> tuple:
+    """The slots of every curve at the points u, in packed order.
+
+    Build it once per (model, u): the objective, log f, its score and
+    curve_values all read the curves through it.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    sl = model.slices()
+    return tuple(Slot(key, spec, spec.basis.design_matrix(u), sl[key])
+                 for key, spec in model.curves())
+
+
+def slot_values(table: tuple, values: np.ndarray) -> dict:
+    """Curve values link^{-1}(design @ coeffs) at the table's points, by slot."""
+    return {s.key: LINKS[s.spec.link][0](s.design @ values[s.index])
+            for s in table}
+
+
 def curve_values(model: ModelSpec, theta, u):
     """All curve values at the points u: dict of arrays keyed by slot name."""
-    values = theta_values(model, theta)
-    sl = model.slices()
-    out = {"d": eval_curve(model.d, values[sl["d"]], u),
-           "sigma": eval_curve(model.sigma, values[sl["sigma"]], u)}
-    for k, c in enumerate(model.ar):
-        out[f"ar{k + 1}"] = eval_curve(c, values[sl[f"ar{k + 1}"]], u)
-    for k, c in enumerate(model.ma):
-        out[f"ma{k + 1}"] = eval_curve(c, values[sl[f"ma{k + 1}"]], u)
-    return out
+    return slot_values(slot_table(model, u), theta_values(model, theta))
 
 
 @dataclass(frozen=True)
@@ -307,90 +325,92 @@ def _check_lambda(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-def log_spectral_grid(model: ModelSpec, theta, u, lam) -> np.ndarray:
-    """log f(u_a, lam_b) on the tensor grid: shape (len(u), len(lam)).
+class Frequencies(NamedTuple):
+    """The frequency kernels of log f on a set of frequencies lam."""
 
-    This is the workhorse for the likelihood and the Fisher-matrix
-    quadrature; scalar wrappers below reduce to it.
-    """
+    half2: np.ndarray   # 2 log(2 sin(|lam|/2)), the memory kernel
+    coslam: np.ndarray  # cos(lam), the AR/MA kernel
+
+
+def frequencies(lam) -> Frequencies:
+    """Kernels at lam in [-pi, pi] without 0."""
     lam = _check_lambda(lam)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    vals = curve_values(model, theta, u)
-    # log (2 sin |lam|/2), the negative-memory kernel
-    half = np.log(2.0 * np.sin(np.abs(lam) / 2.0))
-    coslam = np.cos(lam)
-    out = 2.0 * np.log(vals["sigma"])[:, None] - np.log(2.0 * np.pi)
-    out = out - 2.0 * vals["d"][:, None] * half[None, :]
-    for key in vals:
-        if key.startswith(("ar", "ma")):
-            k = int(key[2:]) - 1
-            spec = model.ar[k] if key.startswith("ar") else model.ma[k]
-            a = spec.sign * vals[key]
-            mod2 = 1.0 + 2.0 * a[:, None] * coslam[None, :] + (a * a)[:, None]
-            term = np.log(np.maximum(mod2, 1e-300))
-            out = out + term if key.startswith("ma") else out - term
-    return out
+    return Frequencies(2.0 * np.log(2.0 * np.sin(np.abs(lam) / 2.0)),
+                       np.cos(lam))
+
+
+def log_density(table: tuple, curves: dict, freqs: Frequencies) -> np.ndarray:
+    """log f from curve values, broadcast against the frequency kernels.
+
+    ``curves`` maps each slot key of ``table`` to its curve values; pass
+    columns (shape (n_u, 1)) for the (u, lam) grid, or arrays of the
+    kernels' shape for paired points.  The terms are summed in slot order:
+    2 log sigma - log 2 pi, then - d * 2 log(2 sin|lam|/2), then
+    +- log(1 + 2 a cos lam + a^2) with a = sign * c (+ for MA, - for AR).
+    """
+    logf = 2.0 * np.log(curves["sigma"]) - LOG_2PI
+    logf = logf - curves["d"] * freqs.half2
+    for slot in table[2:]:  # the AR/MA slots follow d and sigma
+        a = slot.spec.sign * curves[slot.key]
+        term = np.log1p(2.0 * a * freqs.coslam + a * a)
+        logf = logf + term if slot.key.startswith("ma") else logf - term
+    return logf
+
+
+def log_density_score(table: tuple, values: np.ndarray,
+                      freqs: Frequencies) -> np.ndarray:
+    """Analytic score d log f / d theta on the (u, lam) grid.
+
+    Shape (n_params, n_u, n_lam): each coefficient's design column times
+    link'(eta) times d log f / dc, which is -2 log(2 sin|lam|/2) for d,
+    2 / sigma for sigma, and +-2 sign (cos lam + a) / (1 + 2 a cos lam + a^2)
+    for an MA (+) or AR (-) curve c, a = sign * c.
+    """
+    n_u, n_lam = len(table[0].design), len(freqs.half2)
+    score = np.empty((table[-1].index.stop, n_u, n_lam))
+    for slot in table:
+        linkinv, dlink = LINKS[slot.spec.link]
+        eta = slot.design @ values[slot.index]
+        c = linkinv(eta)[:, None]
+        if slot.key == "d":
+            dlogf = -freqs.half2
+        elif slot.key == "sigma":
+            dlogf = 2.0 / c
+        else:
+            sign = slot.spec.sign
+            a = sign * c
+            dlogf = (2.0 * sign * (freqs.coslam + a)
+                     / (1.0 + 2.0 * a * freqs.coslam + a * a))
+            if slot.key.startswith("ar"):
+                dlogf = -dlogf
+        chain = slot.design * dlink(eta)[:, None]
+        score[slot.index] = chain.T[:, :, None] * dlogf
+    return score
+
+
+def log_spectral_grid(model: ModelSpec, theta, u, lam) -> np.ndarray:
+    """log f(u_a, lam_b) on the tensor grid: shape (len(u), len(lam))."""
+    table = slot_table(model, u)
+    vals = slot_values(table, theta_values(model, theta))
+    return log_density(table, {k: v[:, None] for k, v in vals.items()},
+                       frequencies(lam))
 
 
 def spectral_density(model: ModelSpec, theta, u, lam):
     """f(u, lam) for scalar or array u and lam (broadcast elementwise)."""
     scalar = (np.ndim(u) == 0) and (np.ndim(lam) == 0)
     u_arr, lam_arr = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(lam))
-    flat = [
-        np.exp(log_spectral_grid(model, theta, uu, ll))[0, 0]
-        for uu, ll in zip(u_arr.ravel(), lam_arr.ravel())
-    ]
-    out = np.array(flat).reshape(u_arr.shape)
-    return float(out.ravel()[0]) if scalar else out
+    table = slot_table(model, u_arr.ravel())
+    vals = slot_values(table, theta_values(model, theta))
+    out = np.exp(log_density(table, vals, frequencies(lam_arr.ravel())))
+    return float(out[0]) if scalar else out.reshape(u_arr.shape)
 
 
 def log_spectral_gradient_grid(model: ModelSpec, theta, u, lam) -> np.ndarray:
     """Gradient of log f with respect to theta on a (u, lam) tensor grid.
 
-    Returns shape (n_params, len(u), len(lam)).  The d- and sigma-slot
-    entries are analytic; AR/MA slots use central finite differences with a
-    relative step of 1e-6, which is accurate to ~1e-9 on these smooth
-    log-densities.
+    Returns shape (n_params, len(u), len(lam)); every entry is analytic
+    (see log_density_score).
     """
-    values = theta_values(model, theta)
-    lam = _check_lambda(lam)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    sl = model.slices()
-    n_u, n_lam = len(u), len(lam)
-    grad = np.empty((model.n_params, n_u, n_lam))
-
-    half2 = 2.0 * np.log(2.0 * np.sin(np.abs(lam) / 2.0))  # log(2 sin)^2
-
-    # d slots: dlogf/dd = -log(2 sin|lam|/2)^2, chained through the link
-    gd = model.d.basis.design_matrix(u)
-    eta_d = gd @ values[sl["d"]]
-    dd = LINKS[model.d.link][1](eta_d)
-    for j in range(model.d.size):
-        grad[sl["d"].start + j] = -(gd[:, j] * dd)[:, None] * half2[None, :]
-
-    # sigma slots: dlogf/dsigma = 2/sigma, chained through the link
-    gs = model.sigma.basis.design_matrix(u)
-    eta_s = gs @ values[sl["sigma"]]
-    ds = LINKS[model.sigma.link][1](eta_s)
-    sig = LINKS[model.sigma.link][0](eta_s)
-    for j in range(model.sigma.size):
-        col = 2.0 * gs[:, j] * ds / sig
-        grad[sl["sigma"].start + j] = np.repeat(col[:, None], n_lam, axis=1)
-
-    # AR/MA slots by central finite differences on log f
-    arma_slots = [s for key, s in sl.items() if key.startswith(("ar", "ma"))]
-    for s in arma_slots:
-        for j in range(s.start, s.stop):
-            h = 1e-6 * max(1.0, abs(values[j]))
-            up = values.copy()
-            up[j] += h
-            dn = values.copy()
-            dn[j] -= h
-            grad[j] = (log_spectral_grid(model, up, u, lam)
-                       - log_spectral_grid(model, dn, u, lam)) / (2.0 * h)
-    return grad
-
-
-def log_spectral_gradient(model: ModelSpec, theta, u: float, lam: float) -> np.ndarray:
-    """Gradient of log f at a single (u, lam): vector of length n_params."""
-    return log_spectral_gradient_grid(model, theta, [u], [lam])[:, 0, 0]
+    return log_density_score(slot_table(model, u), theta_values(model, theta),
+                             frequencies(lam))

@@ -25,8 +25,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .spectral import BlockPlan, LocalPeriodogram, Taper, local_periodogram
-from .tvmodel import (ARMA_BOUND, D_HIGH, D_LOW, LINKS, SIGMA_LOW, ModelSpec,
-                      ParamVector, theta_values, validate_params)
+from .tvmodel import (ARMA_BOUND, D_HIGH, D_LOW, SIGMA_LOW, ModelSpec,
+                      ParamVector, frequencies, log_density, slot_table,
+                      slot_values, theta_values, validate_params)
 
 PENALTY_SCALE = 1e3
 
@@ -34,7 +35,7 @@ PENALTY_SCALE = 1e3
 class WhittleObjective:
     """Callable objective over the packed coefficient vector.
 
-    Precomputes design matrices at the block midpoints and the frequency
+    Precomputes the slot table at the block midpoints and the frequency
     kernels, so one evaluation is a handful of small vectorized array ops.
     """
 
@@ -45,67 +46,30 @@ class WhittleObjective:
         plan = periodogram.plan
         self.plan = plan
         self.ordinates = periodogram.ordinates
-        lam = periodogram.freqs
-        self._half2 = 2.0 * np.log(2.0 * np.sin(lam / 2.0))  # log(2 sin)^2
-        self._coslam = np.cos(lam)
-        w = np.full(len(lam), 2.0 * (2.0 * np.pi / plan.N))
+        self._freqs = frequencies(periodogram.freqs)
+        w = np.full(len(periodogram.freqs), 2.0 * (2.0 * np.pi / plan.N))
         if plan.N % 2 == 0:
             w[-1] = 2.0 * np.pi / plan.N  # Nyquist is its own mirror image
         self._w = w
-        u = plan.u
-        sl = model.slices()
-        self._design = {}
-        self._links = {}
-        self._signs = {}
-        for key, s in sl.items():
-            if key == "d":
-                spec = model.d
-            elif key == "sigma":
-                spec = model.sigma
-            elif key.startswith("ar"):
-                spec = model.ar[int(key[2:]) - 1]
-            else:
-                spec = model.ma[int(key[2:]) - 1]
-            self._design[key] = (spec.basis.design_matrix(u), s)
-            self._links[key] = LINKS[spec.link][0]
-            self._signs[key] = spec.sign
+        self._slots = slot_table(model, plan.u)
         self._norm = 1.0 / (4.0 * np.pi * plan.M)
 
-    def curve_table(self, values: np.ndarray) -> dict:
-        """Raw curve values at the block midpoints, keyed by slot."""
-        out = {}
-        for key, (design, s) in self._design.items():
-            out[key] = self._links[key](design @ values[s])
-        return out
-
     def __call__(self, theta) -> float:
-        values = theta_values(self.model, theta)
-        vals = self.curve_table(values)
+        vals = slot_values(self._slots, theta_values(self.model, theta))
         penalty = 0.0
         d = np.clip(vals["d"], D_LOW, D_HIGH)
-        penalty += np.sum((vals["d"] - d) ** 2)
+        penalty += ((vals["d"] - d) ** 2).sum()
         sig = np.maximum(vals["sigma"], SIGMA_LOW)
-        penalty += np.sum((vals["sigma"] - sig) ** 2)
-
-        logf = 2.0 * np.log(sig)[:, None] - np.log(2.0 * np.pi)
-        logf = logf - d[:, None] * self._half2[None, :]
-        for key in vals:
-            if not key.startswith(("ar", "ma")):
-                continue
-            c = np.clip(vals[key], -ARMA_BOUND, ARMA_BOUND)
-            penalty += np.sum((vals[key] - c) ** 2)
-            a = self._signs[key] * c
-            term = np.log1p(2.0 * a[:, None] * self._coslam[None, :]
-                            + (a * a)[:, None])
-            logf = logf + term if key.startswith("ma") else logf - term
+        penalty += ((vals["sigma"] - sig) ** 2).sum()
+        curves = {"d": d[:, None], "sigma": sig[:, None]}
+        for slot in self._slots[2:]:  # the AR/MA slots
+            c = np.clip(vals[slot.key], -ARMA_BOUND, ARMA_BOUND)
+            penalty += ((vals[slot.key] - c) ** 2).sum()
+            curves[slot.key] = c[:, None]
+        logf = log_density(self._slots, curves, self._freqs)
         dev = logf + self.ordinates * np.exp(-logf)
         return float(self._norm * (dev @ self._w).sum()
                      + self.penalty_scale * penalty)
-
-
-def whittle_loglik(objective: WhittleObjective, theta) -> float:
-    """Objective value at theta (penalized outside the feasible set)."""
-    return objective(theta)
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,34 @@ class TestGamma:
                      "--method", "closed"]) == 2
 
 
+def run_cli(args):
+    """Run ``python -m lswhittle.cli`` as its own process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(lswhittle.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "lswhittle.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("flag", ["--seed=-3", "--rep=-1"])
+    def test_simulate_exits_2(self, base_cfg, tmp_path, flag):
+        proc = run_cli(["simulate", "--config", base_cfg,
+                        "--out", str(tmp_path / "y.csv"), flag])
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
+
+    def test_mc_exits_2(self, tmp_path):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(BASE_CFG.replace("mc.seed = 7", "mc.seed = -1"))
+        proc = run_cli(["mc", "--config", str(cfg), "--threads", "1"])
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
+
+
 class TestParser:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from lswhittle import (BasisSpec, CurveSpec, ModelSpec, PlanError, mcharness,
-                       simulator, spectral, whittle)
+from lswhittle import (BasisSpec, ConfigError, CurveSpec, ModelSpec,
+                       PlanError, mcharness, simulator, spectral, whittle)
 
 POLY0 = BasisSpec("polynomial", 0)
 POLY1 = BasisSpec("polynomial", 1)
@@ -223,5 +223,47 @@ class TestDefaultWorkers:
         assert mcharness.default_workers() == 3
         monkeypatch.setenv("LSW_THREADS", "0")
         assert mcharness.default_workers() == 1
+        monkeypatch.setenv("LSW_THREADS", "abc")
+        with pytest.raises(ConfigError, match="LSW_THREADS"):
+            mcharness.default_workers()
         monkeypatch.delenv("LSW_THREADS")
         assert mcharness.default_workers() >= 1
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestPoolSize:
+    def test_capped_by_reps_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(mcharness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        model = fn_model()
+        plan = spectral.make_plan(64, 32, 16)
+        paths = mcharness.simulate_paths(model, [0.2, 0.1, 0.7, 0.1], 64, 3,
+                                         seed=4)
+        want, _ = mcharness._run_fits(paths, model, plan, "cosine", 1)
+        for cpus, workers, size in ((8, 64, 3), (2, 64, 2), (8, 2, 2)):
+            monkeypatch.setattr(mcharness.os, "cpu_count", lambda: cpus)
+            got, _ = mcharness._run_fits(paths, model, plan, "cosine",
+                                         workers)
+            assert RecordingPool.sizes[-1] == size
+            np.testing.assert_array_equal(got, want)
+        # one usable CPU (or an unknown count) fits in-process, no pool
+        monkeypatch.setattr(mcharness.os, "cpu_count", lambda: None)
+        mcharness._run_fits(paths, model, plan, "cosine", 64)
+        assert len(RecordingPool.sizes) == 3

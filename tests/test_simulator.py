@@ -207,6 +207,17 @@ class TestSeriesCsv:
             simulator.read_series_csv(path)
         assert "row 3" in str(err.value)
 
+    @pytest.mark.parametrize("rows", [
+        "1,0.5\n3,0.1\n", "1,0.5\n1,0.1\n", "1,0.5\n2.5,0.1\n",
+        "1,0.5\nx,0.1\n",
+    ], ids=["gap", "repeat", "non-integer", "non-numeric"])
+    def test_bad_t_column_reports_row(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n" + rows)
+        with pytest.raises(ConfigError) as err:
+            simulator.read_series_csv(path)
+        assert "row 3" in str(err.value)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,y\n1,0.5\n")

@@ -5,8 +5,9 @@ import pytest
 
 from lswhittle import (BasisSpec, CurveSpec, InfeasibleParameterError,
                        ModelSpec, curve_values, eval_curve,
-                       log_spectral_gradient, require_feasible,
+                       log_spectral_gradient_grid, require_feasible,
                        spectral_density, validate_params)
+from lswhittle.asymptotics import catalog_model
 
 from oracles import fd_gradient
 
@@ -188,45 +189,61 @@ class TestSpectralDensity:
             assert f > 0
 
 
+def feasible_table_theta(model, rng):
+    while True:
+        theta = np.array([rng.uniform(0.05, 0.25), rng.uniform(-0.1, 0.2),
+                          rng.uniform(0.3, 1.5), rng.uniform(-0.2, 0.4),
+                          rng.uniform(-0.8, 0.8)])
+        if validate_params(model, theta).feasible:
+            return theta
+
+
+def example5_theta(model, rng):
+    """d = a1 u, AR (1 + a2 u B), MA (1 + a3 u B), both with sign +1.
+
+    d(0) = 0 puts every example5 point outside validate_params' box, so
+    the draw keeps only what log f needs: |a2 u| and |a3 u| below 1.
+    """
+    return np.array([rng.uniform(0.05, 0.45), rng.uniform(-0.8, 0.8),
+                     rng.uniform(-0.8, 0.8)])
+
+
 class TestLogSpectralGradient:
     def test_identity_link_d_slots_closed_form(self):
         model = lsfn_model()
         theta = [0.15, 0.20, 1.0, 0.0]
         for u, lam in ((0.2, 0.7), (0.8, 2.5), (0.5, np.pi)):
-            grad = log_spectral_gradient(model, theta, u, lam)
+            grad = log_spectral_gradient_grid(model, theta, [u], [lam])[:, 0, 0]
             factor = np.log((2 * np.sin(lam / 2)) ** 2)
             npt.assert_allclose(grad[0], -factor, rtol=1e-12)
             npt.assert_allclose(grad[1], -u * factor, rtol=1e-12)
 
     def test_d_slots_vanish_where_memory_factor_is_one(self):
         model = lsfn_model()
-        grad = log_spectral_gradient(model, [0.15, 0.20, 1.0, 0.0],
-                                     0.4, np.pi / 3)
+        grad = log_spectral_gradient_grid(model, [0.15, 0.20, 1.0, 0.0],
+                                          [0.4], [np.pi / 3])[:, 0, 0]
         npt.assert_allclose(grad[:2], 0.0, atol=1e-14)
 
     def test_gradient_matches_finite_differences(self):
-        model = table_model()
         rng = np.random.default_rng(19)
-        checked = 0
-        while checked < 100:
-            theta = np.array([rng.uniform(0.05, 0.25), rng.uniform(-0.1, 0.2),
-                              rng.uniform(0.3, 1.5), rng.uniform(-0.2, 0.4),
-                              rng.uniform(-0.8, 0.8)])
-            if not validate_params(model, theta).feasible:
-                continue
-            u = rng.uniform(0, 1)
-            lam = rng.uniform(0.05, np.pi - 0.05)
-            grad = log_spectral_gradient(model, theta, u, lam)
-            ref = fd_gradient(
-                lambda x: np.log(spectral_density(model, x, u, lam)), theta)
-            npt.assert_allclose(grad, ref, rtol=1e-5, atol=1e-7)
-            checked += 1
+        for model, draw in ((table_model(), feasible_table_theta),
+                            (catalog_model("example5"), example5_theta)):
+            for _ in range(100):
+                theta = draw(model, rng)
+                u = rng.uniform(0, 1)
+                lam = rng.uniform(0.05, np.pi - 0.05)
+                grad = log_spectral_gradient_grid(model, theta, [u],
+                                                  [lam])[:, 0, 0]
+                ref = fd_gradient(
+                    lambda x: np.log(spectral_density(model, x, u, lam)),
+                    theta)
+                npt.assert_allclose(grad, ref, rtol=1e-5, atol=1e-7)
 
     def test_log_link_gradient(self):
         model = lsfn_model(d_link="log", s_link="log")
         theta = np.array([-1.5, 0.3, 0.1, -0.2])
         u, lam = 0.6, 1.1
-        grad = log_spectral_gradient(model, theta, u, lam)
+        grad = log_spectral_gradient_grid(model, theta, [u], [lam])[:, 0, 0]
         ref = fd_gradient(
             lambda x: np.log(spectral_density(model, x, u, lam)), theta)
         npt.assert_allclose(grad, ref, rtol=1e-5, atol=1e-8)

@@ -133,14 +133,6 @@ class TestObjective:
         above = obj([0.499 + eps, 0.7])
         assert abs(above - below) < 1e-6
 
-    def test_loglik_alias(self):
-        model = fn_model()
-        plan = spectral.make_plan(64, 32, 16)
-        data = sim(model, [0.2, 0.1, 0.8, 0.0], 64, seed=2)
-        obj, _ = make_objective(model, data, plan)
-        theta = [0.2, 0.1, 0.8, 0.0]
-        assert whittle.whittle_loglik(obj, theta) == obj(theta)
-
 
 class TestStartingPoint:
     def test_documented_start(self):
