@@ -112,6 +112,8 @@ def gamma_quadrature(model: ModelSpec, theta, n_u: int = 64,
 #             Monte Carlo family of the tables
 # ---------------------------------------------------------------------------
 
+CATALOG_IDS = ("example2", "example3", "harmonic", "example5", "sec4")
+
 
 _FACTORIALS = np.array([math.factorial(k) for k in range(18)], dtype=float)
 
@@ -211,80 +213,70 @@ def catalog_model(example_id: str, freqs=(1.0, 2.0)) -> ModelSpec:
 
 
 def gamma_closed(example_id: str, theta, freqs=(1.0, 2.0)) -> GammaMatrix:
-    """Closed-form Fisher matrix for one catalog family.
+    """Closed-form Fisher matrix for one catalog family, assembled by curve.
 
+    The memory kernel integrates to zero over lam, so the d and sigma
+    blocks are orthogonal and each depends on its own curve alone; only
+    the AR/MA rows couple to d, and they are the one family-specific part.
     Raises InfeasibleParameterError when theta leaves the formula's domain
     (memory curve outside (0, 1/2), nonpositive scale, ARMA box violated).
     """
     model = catalog_model(example_id, freqs)
     values = theta_values(model, theta)
-    if example_id == "example2":
-        a0, a1, b0, b1 = values
-        _require_d_range(a0, a0 + a1)
-        mat = np.zeros((4, 4))
-        mat[:2, :2] = PI2_6 * np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-        mat[2:, 2:] = 2.0 * np.array(
-            [[_poly_invsq_moment(0, b0, b1), _poly_invsq_moment(1, b0, b1)],
-             [_poly_invsq_moment(1, b0, b1), _poly_invsq_moment(2, b0, b1)]])
-    elif example_id == "example3":
-        a0, a1, b0, b1 = values
-        _require_d_range(np.exp(a0), np.exp(a0 + a1))
-        c = 2.0 * a1
-        block = np.array(
-            [[_poly_exp_moment(0, c), _poly_exp_moment(1, c)],
-             [_poly_exp_moment(1, c), _poly_exp_moment(2, c)]])
-        mat = np.zeros((4, 4))
-        mat[:2, :2] = PI2_6 * np.exp(2.0 * a0) * block
-        mat[2:, 2:] = np.array([[2.0, 1.0], [1.0, 2.0 / 3.0]])
-    elif example_id == "harmonic":
-        *_, b0 = values
-        if b0 <= 0.0:
-            raise InfeasibleParameterError("constant sigma must be positive")
-        w = np.array((0.0,) + tuple(freqs))
-        diff = w[:, None] - w[None, :]
-        summ = w[:, None] + w[None, :]
-        block = (np.pi ** 2 / 12.0) * (np.sinc(diff / np.pi) + np.sinc(summ / np.pi))
-        p = len(w)
-        mat = np.zeros((p + 1, p + 1))
-        mat[:p, :p] = block
-        mat[p, p] = 2.0 / b0 ** 2
-    elif example_id == "example5":
-        a1, a2, a3 = values
-        if not 0.0 < a1 < 0.5:
-            raise InfeasibleParameterError("memory slope must lie in (0, 1/2)")
+    sl = model.slices()
+    mat = np.zeros((len(values), len(values)))
+    mat[sl["d"], sl["d"]] = _d_block(model.d, values[sl["d"]])
+    mat[sl["sigma"], sl["sigma"]] = _sigma_block(model.sigma, values[sl["sigma"]])
+    if example_id == "example5":
+        _, a2, a3 = values
         if abs(a2) >= 1.0 or abs(a3) >= 1.0:
             raise InfeasibleParameterError("ARMA slopes must lie in (-1, 1)")
-        mat = np.array([
-            [np.pi ** 2 / 18.0, -_j_int(a2), _j_int(a3)],
-            [-_j_int(a2), _i_int(a2 * a2), -_i_int(a2 * a3)],
-            [_j_int(a3), -_i_int(a2 * a3), _i_int(a3 * a3)],
-        ])
+        mat[0, 1:] = mat[1:, 0] = -_j_int(a2), _j_int(a3)
+        mat[1:, 1:] = [[_i_int(a2 * a2), -_i_int(a2 * a3)],
+                       [-_i_int(a2 * a3), _i_int(a3 * a3)]]
     elif example_id == "sec4":
-        a0, a1, b0, b1, vt = values
-        _require_d_range(a0, a0 + a1)
+        (vt,) = values[sl["ma1"]]
         if abs(vt) >= 1.0:
             raise InfeasibleParameterError("MA coefficient must lie in (-1, 1)")
-        mat = np.zeros((5, 5))
-        mat[:2, :2] = PI2_6 * np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-        mat[2:4, 2:4] = 2.0 * np.array(
-            [[_poly_invsq_moment(0, b0, b1), _poly_invsq_moment(1, b0, b1)],
-             [_poly_invsq_moment(1, b0, b1), _poly_invsq_moment(2, b0, b1)]])
-        cross = _log_ratio(vt) * np.array([1.0, 0.5])
-        mat[:2, 4] = cross
-        mat[4, :2] = cross
+        mat[:2, 4] = mat[4, :2] = _log_ratio(vt) * np.array([1.0, 0.5])
         mat[4, 4] = 1.0 / (1.0 - vt * vt)
-    else:
-        raise ValueError(f"unknown catalog id {example_id!r}")
     return GammaMatrix(matrix=mat, provenance=example_id,
                        theta=values.copy(), names=model.param_names())
 
 
-def _require_d_range(*endpoint_values):
-    for v in endpoint_values:
-        if not 0.0 < v < 0.5:
-            raise InfeasibleParameterError(
-                f"memory curve endpoint {v:.6g} outside (0, 1/2)"
-            )
+def _moments(moment, p: int) -> np.ndarray:
+    """The p x p matrix [moment(i + j)]."""
+    return np.array([[moment(i + j) for j in range(p)] for i in range(p)])
+
+
+def _d_block(spec: CurveSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Memory block; a polynomial d(u) must lie in (0, 1/2) at its free ends.
+
+    Identity link: (pi^2/6) Gram, theta-free.  Log link (linear exponent):
+    (pi^2/6) int u^{i+j} exp(2 eta(u)) du.
+    """
+    if spec.basis.kind == "polynomial":
+        eta = [coeffs.sum()]  # at u = 1
+        if spec.basis.intercept:  # at u = 0; without one, d(0) = 0 is pinned
+            eta.append(coeffs[0])
+        for v in eta if spec.link == "identity" else map(np.exp, eta):
+            if not 0.0 < v < 0.5:
+                raise InfeasibleParameterError(
+                    f"memory curve endpoint {v:.6g} outside (0, 1/2)")
+    if spec.link == "identity":
+        return gamma_d_block(spec.basis)
+    a0, a1 = coeffs
+    block = _moments(lambda m: _poly_exp_moment(m, 2.0 * a1), 2)
+    return PI2_6 * np.exp(2.0 * a0) * block
+
+
+def _sigma_block(spec: CurveSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Scale block: 2 Gram under a log link; under the identity link
+    2 int u^{i+j} / sigma(u)^2 du for a constant or linear sigma."""
+    if spec.link == "log":
+        return 2.0 * gram_closed(spec.basis)
+    b0, b1 = coeffs if len(coeffs) == 2 else (coeffs[0], 0.0)
+    return 2.0 * _moments(lambda m: _poly_invsq_moment(m, b0, b1), len(coeffs))
 
 
 @dataclass(frozen=True)
@@ -324,9 +316,9 @@ def gram_closed(basis: BasisSpec) -> np.ndarray:
     return 0.5 * (np.sinc(diff / np.pi) + np.sinc(summ / np.pi))
 
 
-def gram_quadrature(basis: BasisSpec, n: int = 64) -> np.ndarray:
-    """Gram matrix by Gauss-Legendre quadrature (independent route)."""
-    x, w = _gl_nodes(0.0, 1.0, n)
+def gram_quadrature(basis: BasisSpec) -> np.ndarray:
+    """Gram matrix by 64-node Gauss-Legendre quadrature (independent route)."""
+    x, w = _gl_nodes(0.0, 1.0, 64)
     design = basis.design_matrix(x)
     return design.T @ (design * w[:, None])
 
@@ -348,7 +340,7 @@ def dhat_variance_profile(gamma_alpha, basis: BasisSpec, u) -> np.ndarray:
     return np.einsum("ij,ji->i", design, solved)
 
 
-def average_variance_check(basis: BasisSpec, n: int = 64) -> float:
+def average_variance_check(basis: BasisSpec) -> float:
     """trace(Gamma_alpha^{-1} B) with B the quadrature Gram matrix.
 
     Equals 6 p / pi^2 for any invertible p-function basis: the closed
@@ -357,7 +349,7 @@ def average_variance_check(basis: BasisSpec, n: int = 64) -> float:
     """
     gamma = gamma_d_block(basis)
     factor = _check_spd(gamma, "memory-curve Fisher block")
-    b = gram_quadrature(basis, n)
+    b = gram_quadrature(basis)
     return float(np.trace(cho_solve(factor, b, check_finite=False)))
 
 

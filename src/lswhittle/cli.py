@@ -1,28 +1,40 @@
 """Command-line front end: simulate / estimate / mc / grid / gamma.
 
-Exit codes: 0 success, 2 configuration or usage errors, 3 infeasible
+Exit codes: 0 success, 2 configuration, usage or file errors, 3 infeasible
 parameters or non-positive-definite matrices, 4 invalid block plans or
-empty grids.
+empty grids (each error class's ``exit_code``), 143 on SIGTERM.
 """
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 import numpy as np
 
 from . import asymptotics, configfile, mcharness, simulator, spectral, whittle
-from .errors import (ConfigError, InfeasibleParameterError,
+from .asymptotics import CATALOG_IDS
+from .errors import (ConfigError, InfeasibleParameterError, LswhittleError,
                      NotPositiveDefiniteError, PlanError)
 
-CATALOG_IDS = ("example2", "example3", "harmonic", "example5", "sec4")
+# run-setting flag -> (config key it overrides, help text)
+SETTING_FLAGS = {
+    "t": ("mc.T", "series length"),
+    "seed": ("mc.seed", "base seed"),
+    "reps": ("mc.reps", "replications"),
+    "n": ("plan.N", "block length"),
+    "s": ("plan.S", "block shift"),
+}
 
 
-def _add_common(sub):
+def _add_common(sub, *settings):
     sub.add_argument("--config", help="key=value model/run configuration file")
     sub.add_argument("--out", help="output CSV path")
     sub.add_argument("--dump-config",
                      help="write the effective configuration to this path")
+    for flag in settings:
+        key, what = SETTING_FLAGS[flag]
+        sub.add_argument(f"--{flag}", type=int, help=f"{what} (overrides {key})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,17 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("simulate", help="write one exact simulated path")
-    _add_common(p)
-    p.add_argument("--t", type=int, help="series length (overrides mc.T)")
-    p.add_argument("--seed", type=int, help="base seed (overrides mc.seed)")
+    _add_common(p, "t", "seed")
     p.add_argument("--rep", type=int, default=0, help="replication index")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("estimate", help="fit the model to a series CSV")
-    _add_common(p)
+    _add_common(p, "n", "s")
     p.add_argument("--data", required=True, help="input series CSV (t,value)")
-    p.add_argument("--n", type=int, help="block length (overrides plan.N)")
-    p.add_argument("--s", type=int, help="block shift (overrides plan.S)")
     p.add_argument("--taper", choices=("cosine", "uniform"), default="cosine")
     p.add_argument("--auto-plan", action="store_true",
                    help="substitute the nearest valid plan when (N,S) is invalid")
@@ -52,12 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = subs.add_parser("mc", help="Monte Carlo replication table")
-    _add_common(p)
-    p.add_argument("--t", type=int, help="series length (overrides mc.T)")
-    p.add_argument("--seed", type=int, help="base seed (overrides mc.seed)")
-    p.add_argument("--reps", type=int, help="replications (overrides mc.reps)")
-    p.add_argument("--n", type=int, help="block length (overrides plan.N)")
-    p.add_argument("--s", type=int, help="block shift (overrides plan.S)")
+    _add_common(p, "t", "seed", "reps", "n", "s")
     p.add_argument("--taper", choices=("cosine", "uniform"), default="cosine")
     p.add_argument("--threads", type=int, help="worker processes "
                    "(default: LSW_THREADS or the CPU count)")
@@ -66,10 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = subs.add_parser("grid", help="empirical MSE over an (N, S) grid")
-    _add_common(p)
-    p.add_argument("--t", type=int, help="series length (overrides mc.T)")
-    p.add_argument("--seed", type=int, help="base seed (overrides mc.seed)")
-    p.add_argument("--reps", type=int, help="replications (overrides mc.reps)")
+    _add_common(p, "t", "seed", "reps")
     p.add_argument("--taper", choices=("cosine", "uniform"), default="cosine")
     p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_grid)
@@ -87,20 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> dict:
+    """The config file's mapping with the run-setting flags merged in."""
     if not args.config:
         raise ConfigError("--config is required for this command")
-    return configfile.load_config(args.config)
-
-
-def _dump_effective(args, cfg: dict, overrides: dict) -> None:
-    if not getattr(args, "dump_config", None):
-        return
-    merged = dict(cfg)
-    for key, value in overrides.items():
+    cfg = configfile.load_config(args.config)
+    for flag, (key, _) in SETTING_FLAGS.items():
+        value = getattr(args, flag, None)
         if value is not None:
-            merged[key] = str(value)
-    with open(args.dump_config, "w") as fh:
-        fh.write(configfile.dump_config(merged))
+            cfg[key] = str(value)
+    return cfg
+
+
+def _dump_effective(args, cfg: dict) -> None:
+    if args.dump_config:
+        with open(args.dump_config, "w") as fh:
+            fh.write(configfile.dump_config(cfg))
 
 
 def _workers(args) -> int:
@@ -110,16 +111,16 @@ def _workers(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not args.out:
+        raise ConfigError("--out is required for simulate")
     cfg = _load(args)
     model, theta = configfile.build_model(cfg)
-    t = configfile.require_int(cfg, "mc.T", args.t)
-    seed = configfile.require_int(cfg, "mc.seed", args.seed)
-    _dump_effective(args, cfg, {"mc.T": t, "mc.seed": seed})
+    t = configfile.require_int(cfg, "mc.T")
+    seed = configfile.require_int(cfg, "mc.seed")
+    _dump_effective(args, cfg)
     y = simulator.simulate_path(model, theta,
                                 simulator.SimConfig(T=t, seed=seed,
                                                     replication=args.rep))
-    if not args.out:
-        raise ConfigError("--out is required for simulate")
     simulator.write_series_csv(y, args.out)
     print(f"wrote {t} observations to {args.out}")
     return 0
@@ -130,8 +131,8 @@ def cmd_estimate(args) -> int:
     model, _ = configfile.build_model(cfg)
     data = simulator.read_series_csv(args.data)
     t = len(data)
-    n = configfile.require_int(cfg, "plan.N", args.n)
-    s = configfile.require_int(cfg, "plan.S", args.s)
+    n = configfile.require_int(cfg, "plan.N")
+    s = configfile.require_int(cfg, "plan.S")
     try:
         plan = spectral.make_plan(t, n, s)
     except PlanError:
@@ -140,7 +141,8 @@ def cmd_estimate(args) -> int:
         plan = mcharness.nearest_plan(t, n, s)
         print(f"note: using nearest valid plan N={plan.N}, S={plan.S}",
               file=sys.stderr)
-    _dump_effective(args, cfg, {"plan.N": plan.N, "plan.S": plan.S})
+        cfg.update({"plan.N": str(plan.N), "plan.S": str(plan.S)})
+    _dump_effective(args, cfg)
     taper = spectral.taper_weights(args.taper, plan.N)
     if args.dump_periodogram:
         pg = spectral.local_periodogram(data, plan, taper)
@@ -164,13 +166,12 @@ def cmd_estimate(args) -> int:
 def cmd_mc(args) -> int:
     cfg = _load(args)
     model, theta = configfile.build_model(cfg)
-    t = configfile.require_int(cfg, "mc.T", args.t)
-    seed = configfile.require_int(cfg, "mc.seed", args.seed)
-    reps = configfile.require_int(cfg, "mc.reps", args.reps)
-    n = configfile.require_int(cfg, "plan.N", args.n)
-    s = configfile.require_int(cfg, "plan.S", args.s)
-    _dump_effective(args, cfg, {"mc.T": t, "mc.seed": seed, "mc.reps": reps,
-                                "plan.N": n, "plan.S": s})
+    t = configfile.require_int(cfg, "mc.T")
+    seed = configfile.require_int(cfg, "mc.seed")
+    reps = configfile.require_int(cfg, "mc.reps")
+    n = configfile.require_int(cfg, "plan.N")
+    s = configfile.require_int(cfg, "plan.S")
+    _dump_effective(args, cfg)
     config = mcharness.MCConfig(
         model=model, theta=theta.values, T=t, plan=spectral.make_plan(t, n, s),
         reps=reps, seed=seed, workers=_workers(args), taper=args.taper,
@@ -188,14 +189,14 @@ def cmd_mc(args) -> int:
 def cmd_grid(args) -> int:
     cfg = _load(args)
     model, theta = configfile.build_model(cfg)
-    t = configfile.require_int(cfg, "mc.T", args.t)
-    seed = configfile.require_int(cfg, "mc.seed", args.seed)
-    reps = configfile.require_int(cfg, "mc.reps", args.reps)
+    t = configfile.require_int(cfg, "mc.T")
+    seed = configfile.require_int(cfg, "mc.seed")
+    reps = configfile.require_int(cfg, "mc.reps")
     if "grid.N" not in cfg or "grid.S" not in cfg:
         raise ConfigError("grid needs grid.N and grid.S ranges (lo:hi:step)")
     n_values = configfile.parse_range(cfg["grid.N"], "grid.N")
     s_values = configfile.parse_range(cfg["grid.S"], "grid.S")
-    _dump_effective(args, cfg, {"mc.T": t, "mc.seed": seed, "mc.reps": reps})
+    _dump_effective(args, cfg)
     grid = mcharness.mse_grid(model, theta.values, t, n_values, s_values,
                               reps, seed, workers=_workers(args),
                               taper=args.taper)
@@ -217,11 +218,13 @@ def cmd_gamma(args) -> int:
     if not args.example and not args.config:
         raise ConfigError("gamma needs --example or --config")
     method = args.method or ("closed" if args.example else "quadrature")
+    if args.config:
+        model, params = configfile.build_model(
+            configfile.load_config(args.config))
     if args.theta:
         theta = configfile._floats(args.theta, "--theta")
     elif args.config:
-        _, pv = configfile.build_model(configfile.load_config(args.config))
-        theta = pv.values
+        theta = params.values
     else:
         raise ConfigError("gamma needs --theta (or a config with coefficients)")
 
@@ -235,7 +238,6 @@ def cmd_gamma(args) -> int:
     else:
         if method != "quadrature":
             raise ConfigError("closed form needs --example")
-        model, _ = configfile.build_model(configfile.load_config(args.config))
         results.append(asymptotics.gamma_quadrature(model, np.asarray(theta)))
 
     for gamma in results:
@@ -250,29 +252,25 @@ def cmd_gamma(args) -> int:
     return 0
 
 
+def _exit_on_sigterm(signum, frame):
+    # SystemExit unwinds the command, so a process pool shuts down with it
+    sys.exit(128 + signal.SIGTERM)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (LswhittleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleParameterError, NotPositiveDefiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

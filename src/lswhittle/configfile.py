@@ -145,15 +145,7 @@ def build_model(cfg: dict):
     return model, ParamVector(coeffs, model.param_names())
 
 
-def get_int(cfg: dict, key: str, default=None):
-    if key in cfg:
-        return _int(cfg[key], key)
-    return default
-
-
-def require_int(cfg: dict, key: str, override=None) -> int:
-    if override is not None:
-        return int(override)
+def require_int(cfg: dict, key: str) -> int:
     if key not in cfg:
         raise ConfigError(f"missing {key} (set it in the config or on the command line)")
     return _int(cfg[key], key)

@@ -95,7 +95,7 @@ def taper_weights(kind: str, N: int) -> Taper:
     if N < 2:
         raise ValueError("taper length must be >= 2")
     x = np.arange(N) / N
-    if kind in ("cosine", "cosine_bell"):
+    if kind == "cosine":
         h = 0.5 * (1.0 - np.cos(2.0 * np.pi * x))
     elif kind == "uniform":
         h = np.ones(N)

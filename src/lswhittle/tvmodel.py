@@ -277,18 +277,15 @@ class ConstraintReport:
     violations: tuple = ()
 
 
-def validate_params(model: ModelSpec, theta, grid_size: int = VALIDATION_GRID,
-                    d_low: float = D_LOW, d_high: float = D_HIGH) -> ConstraintReport:
-    """Check the curve constraints on a uniform u-grid.
+def validate_params(model: ModelSpec, theta) -> ConstraintReport:
+    """Check the curve constraints on a uniform u-grid of VALIDATION_GRID points.
 
-    Constraints: d(u) in (d_low, d_high); sigma(u) > 0; every AR/MA
-    coefficient curve satisfies |c(u)| < 1 so the lag-polynomial root stays
-    outside the unit circle.  Violations are reported as tuples
+    Constraints: d(u) in (D_LOW, D_HIGH); sigma(u) > 0; every AR/MA
+    coefficient curve satisfies |c(u)| < ARMA_BOUND so the lag-polynomial
+    root stays outside the unit circle.  Violations are reported as tuples
     (component, u, value, bound).
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    u = np.linspace(0.0, 1.0, grid_size)
+    u = np.linspace(0.0, 1.0, VALIDATION_GRID)
     vals = curve_values(model, theta, u)
     violations = []
 
@@ -296,8 +293,8 @@ def validate_params(model: ModelSpec, theta, grid_size: int = VALIDATION_GRID,
         for idx in np.nonzero(mask)[0]:
             violations.append((component, float(u[idx]), float(vals[component][idx]), bound))
 
-    flag("d", vals["d"] <= d_low, d_low)
-    flag("d", vals["d"] >= d_high, d_high)
+    flag("d", vals["d"] <= D_LOW, D_LOW)
+    flag("d", vals["d"] >= D_HIGH, D_HIGH)
     flag("sigma", vals["sigma"] <= 0.0, 0.0)
     for key in vals:
         if key.startswith(("ar", "ma")):
@@ -305,9 +302,9 @@ def validate_params(model: ModelSpec, theta, grid_size: int = VALIDATION_GRID,
     return ConstraintReport(feasible=not violations, violations=tuple(violations))
 
 
-def require_feasible(model: ModelSpec, theta, **kwargs) -> None:
+def require_feasible(model: ModelSpec, theta) -> None:
     """Raise InfeasibleParameterError when validate_params finds violations."""
-    report = validate_params(model, theta, **kwargs)
+    report = validate_params(model, theta)
     if not report.feasible:
         comp, uu, val, bound = report.violations[0]
         raise InfeasibleParameterError(

@@ -39,10 +39,8 @@ class WhittleObjective:
     kernels, so one evaluation is a handful of small vectorized array ops.
     """
 
-    def __init__(self, periodogram: LocalPeriodogram, model: ModelSpec,
-                 penalty_scale: float = PENALTY_SCALE):
+    def __init__(self, periodogram: LocalPeriodogram, model: ModelSpec):
         self.model = model
-        self.penalty_scale = penalty_scale
         plan = periodogram.plan
         self.plan = plan
         self.ordinates = periodogram.ordinates
@@ -69,7 +67,7 @@ class WhittleObjective:
         logf = log_density(self._slots, curves, self._freqs)
         dev = logf + self.ordinates * np.exp(-logf)
         return float(self._norm * (dev @ self._w).sum()
-                     + self.penalty_scale * penalty)
+                     + PENALTY_SCALE * penalty)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +72,12 @@ class TestSimulate:
             model, theta, simulator.SimConfig(T=40, seed=9, replication=2))
         np.testing.assert_array_equal(simulator.read_series_csv(out), want)
 
-    def test_missing_out_is_usage_error(self, base_cfg, capsys):
-        assert main(["simulate", "--config", base_cfg]) == 2
+    def test_missing_out_is_usage_error(self, base_cfg, tmp_path, capsys):
+        dump = tmp_path / "eff.cfg"
+        assert main(["simulate", "--config", base_cfg,
+                     "--dump-config", str(dump)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not dump.exists()  # refused before anything ran
 
     def test_missing_config(self, capsys):
         assert main(["simulate", "--out", "/tmp/x.csv"]) == 2
@@ -86,15 +91,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "y.csv")]) == 3
 
-    def test_dump_config_reflects_overrides(self, base_cfg, tmp_path):
+    # each run-setting flag, with a value that keeps BASE_CFG's plan valid
+    @pytest.mark.parametrize("flag, key, value", [
+        ("t", "mc.T", "176"), ("seed", "mc.seed", "9"), ("reps", "mc.reps", "1"),
+        ("n", "plan.N", "80"), ("s", "plan.S", "24")],
+        ids=["t", "seed", "reps", "n", "s"])
+    def test_dump_config_reflects_overrides(self, base_cfg, tmp_path, flag,
+                                            key, value):
         dump = tmp_path / "eff.cfg"
-        assert main(["simulate", "--config", base_cfg,
-                     "--out", str(tmp_path / "y.csv"),
-                     "--t", "40", "--dump-config", str(dump)]) == 0
+        assert main(["mc", "--config", base_cfg, "--threads", "1",
+                     f"--{flag}", value, "--dump-config", str(dump)]) == 0
         from lswhittle import configfile
-        eff = configfile.load_config(dump)
-        assert eff["mc.T"] == "40"
-        assert eff["mc.seed"] == "7"
+        want = dict(configfile.load_config(base_cfg), **{key: value})
+        assert configfile.load_config(dump) == want
 
 
 class TestEstimate:
@@ -239,14 +248,19 @@ class TestGamma:
                      "--method", "closed"]) == 2
 
 
-def run_cli(args):
-    """Run ``python -m lswhittle.cli`` as its own process."""
+def cli_env() -> dict:
+    """The environment with this package's source tree first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(lswhittle.__file__).resolve().parents[1]),
         env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(args):
+    """Run ``python -m lswhittle.cli`` as its own process."""
     return subprocess.run([sys.executable, "-m", "lswhittle.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=cli_env())
 
 
 class TestNegativeSeeds:
@@ -267,6 +281,63 @@ class TestNegativeSeeds:
         assert "Traceback" not in proc.stderr + proc.stdout
 
 
+class TestPathErrors:
+    @pytest.mark.parametrize("which", ["--out", "--config"])
+    def test_directory_exits_2(self, base_cfg, tmp_path, which):
+        paths = {"--config": base_cfg, "--out": str(tmp_path / "y.csv"),
+                 which: str(tmp_path)}
+        proc = run_cli(["simulate", "--config", paths["--config"],
+                        "--out", paths["--out"]])
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def processes_with(marker: str) -> list:
+    """Pids whose command line contains marker (pool workers inherit it)."""
+    found = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            if marker in cmdline.read_bytes().replace(b"\0", b" ").decode():
+                found.append(cmdline.parent.name)
+        except OSError:
+            pass
+    return found
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_sigterm_ends_grid_and_its_workers(tmp_path):
+    # 72 cells of 4 fits each: far longer than the test waits
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("d.coeffs = 0.2, 0.1\nsigma.coeffs = 0.7, 0.1\n"
+                   "mc.T = 256\nmc.seed = 3\nmc.reps = 4\n"
+                   "grid.N = 16:64:2\ngrid.S = 1:4\n")
+    marker = str(cfg)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lswhittle.cli", "grid", "--config", marker,
+         "--threads", "2"],
+        env=cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(processes_with(marker)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert len(processes_with(marker)) >= 3, "no pool workers were started"
+        proc.terminate()
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while processes_with(marker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert processes_with(marker) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
 class TestParser:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -284,10 +355,7 @@ class TestParser:
         with open(pyproject, "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["lswhittle"]
         module, func = target.split(":")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(lswhittle.__file__).resolve().parents[1]),
-            env.get("PYTHONPATH")]))
+        env = cli_env()
         launchers = [[sys.executable, "-c",
                       f"import sys; from {module} import {func}; "
                       f"sys.exit({func}())"]]

@@ -1,6 +1,8 @@
 """Config grammar: parsing, validation, model construction, ranges."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lswhittle import ConfigError, configfile
 
@@ -56,6 +58,15 @@ class TestParse:
         text = configfile.dump_config(cfg)
         assert configfile.parse_config_text(text) == cfg
         assert text == configfile.dump_config(configfile.parse_config_text(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(sorted(configfile.known_keys())),
+        st.text(min_size=1).filter(
+            lambda v: v == v.strip() and len(v.splitlines()) == 1)))
+    def test_dump_round_trip_property(self, cfg):
+        # any non-empty, stripped, one-line values over the known keys
+        assert configfile.parse_config_text(configfile.dump_config(cfg)) == cfg
 
 
 class TestBuildModel:
@@ -137,16 +148,9 @@ class TestBuildModel:
 
 
 class TestSettings:
-    def test_get_int(self):
-        cfg = configfile.parse_config_text(BASE)
-        assert configfile.get_int(cfg, "mc.T") == 512
-        assert configfile.get_int(cfg, "grid.N") is None
-        assert configfile.get_int(cfg, "grid.N", default=3) == 3
-
     def test_require_int_override_wins(self):
         cfg = configfile.parse_config_text(BASE)
         assert configfile.require_int(cfg, "mc.T") == 512
-        assert configfile.require_int(cfg, "mc.T", override=128) == 128
         with pytest.raises(ConfigError) as err:
             configfile.require_int(cfg, "grid.N")
         assert "grid.N" in str(err.value)

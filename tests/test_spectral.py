@@ -1,6 +1,8 @@
 """Tests for block plans, tapers, and the local periodogram."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lswhittle import errors, simulator, spectral, tvmodel
 
@@ -69,6 +71,21 @@ class TestNearestValidPlan:
             )
             assert got == best
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_is_brute_force_argmin(self, data):
+        T = data.draw(st.integers(2, 200), label="T")
+        N = data.draw(st.integers(2, T), label="N")
+        S = data.draw(st.integers(1, 2 * T), label="S")
+        # (T, S) is valid at distance |T - N|, so no optimum has S' > S + T
+        n2 = np.arange(2, T + 1)[:, None]
+        s2 = np.arange(1, S + T + 1)[None, :]
+        cost = np.where((T - n2) % s2 == 0,
+                        np.abs(n2 - N) + np.abs(s2 - S), np.iinfo(np.int64).max)
+        # the first row-major minimum has the smallest N', then the smallest S'
+        i, j = np.unravel_index(np.argmin(cost), cost.shape)
+        assert spectral.nearest_valid_plan(T, N, S) == (n2[i, 0], s2[0, j])
+
 
 class TestTaper:
     def test_cosine_endpoints_and_peak(self):
@@ -97,8 +114,9 @@ class TestTaper:
         assert t.h1 == 17.0 and t.h2 == 17.0
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            spectral.taper_weights("hamming", 16)
+        for kind in ("hamming", "cosine_bell"):
+            with pytest.raises(ValueError):
+                spectral.taper_weights(kind, 16)
 
 
 def lsfn_model():

@@ -112,7 +112,7 @@ class TestObjective:
     def test_penalty_is_quadratic_beyond_clip(self):
         # Outside the feasible box the density freezes at the clipped value
         # and a quadratic term grows: L(d_hi + delta) - L(d_hi) =
-        # penalty_scale * M * delta^2 for a constant d curve.
+        # PENALTY_SCALE * M * delta^2 for a constant d curve.
         model = fn_model(d_degree=0, s_degree=0)
         plan = spectral.make_plan(96, 32, 32)
         data = sim(model, [0.2, 0.7], 96, seed=6)
