@@ -19,8 +19,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InfeasibleParameterError, NotPositiveDefiniteError
-from .tvmodel import (BasisSpec, CurveSpec, ModelSpec, curve_values,
-                      log_spectral_gradient_grid, theta_values)
+from .tvmodel import (VALIDATION_GRID, BasisSpec, CurveSpec, ModelSpec,
+                      curve_values, eval_curve, log_spectral_gradient_grid,
+                      theta_values)
 
 PI2_6 = np.pi ** 2 / 6.0
 
@@ -250,10 +251,12 @@ def _moments(moment, p: int) -> np.ndarray:
 
 
 def _d_block(spec: CurveSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Memory block; a polynomial d(u) must lie in (0, 1/2) at its free ends.
+    """Memory block; d(u) must lie in (0, 1/2).
 
-    Identity link: (pi^2/6) Gram, theta-free.  Log link (linear exponent):
-    (pi^2/6) int u^{i+j} exp(2 eta(u)) du.
+    A polynomial d(u) is checked at its free ends, any other curve on the
+    VALIDATION_GRID points of [0, 1].  Identity link: (pi^2/6) Gram,
+    theta-free.  Log link (linear exponent): (pi^2/6) int u^{i+j}
+    exp(2 eta(u)) du.
     """
     if spec.basis.kind == "polynomial":
         eta = [coeffs.sum()]  # at u = 1
@@ -263,6 +266,11 @@ def _d_block(spec: CurveSpec, coeffs: np.ndarray) -> np.ndarray:
             if not 0.0 < v < 0.5:
                 raise InfeasibleParameterError(
                     f"memory curve endpoint {v:.6g} outside (0, 1/2)")
+    else:
+        d = eval_curve(spec, coeffs, np.linspace(0.0, 1.0, VALIDATION_GRID))
+        if not np.all((d > 0.0) & (d < 0.5)):
+            raise InfeasibleParameterError(
+                "d(u) leaves (0, 1/2) on the validation grid")
     if spec.link == "identity":
         return gamma_d_block(spec.basis)
     a0, a1 = coeffs

@@ -13,22 +13,34 @@ dt = d(t/T), k = s - t,
                  * [1 + vt^2 - vt (k-dt)/(k-1+ds) - vt (k+ds)/(k+1-dt)]
 
 evaluated through log-gamma differences so large lags cannot overflow.  The
-covariance matrix is factored with the innovations (one-step prediction)
-decomposition K = L D L', L unit lower triangular, D = diag(v), and paths
-are generated as Y = L (sqrt(v) * z) with z standard normal from a
-counter-based generator keyed by (seed, replication), so replications are
-reproducible in any order.
+matrix is filled in blocks of ROW_BLOCK rows, each mirrored into the upper
+triangle as it is written, so building it takes one T x T array plus
+O(ROW_BLOCK x T) temporaries.  It is factored in place with the innovations
+(one-step prediction) decomposition K = L D L', L unit lower triangular,
+D = diag(v), and paths are generated as Y = L (sqrt(v) * z) with z standard
+normal from a counter-based generator keyed by (seed, replication), so
+replications are reproducible in any order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf
 from scipy.special import gammaln
 
 from .errors import NotPositiveDefiniteError
 from .tvmodel import ModelSpec, curve_values, require_feasible, theta_values
+
+# Rows of the covariance matrix evaluated per block: large enough that the
+# per-block overhead vanishes, small enough that the temporaries stay far
+# below the T x T matrix itself.
+ROW_BLOCK = 128
+# Paths per triangular product.  OpenBLAS 0.3.30 (SkylakeX kernels) gives a
+# row of a trmm product the same bits in any product of up to 192 rows, its
+# row blocking, and not beyond; 64 stays well inside.
+PATH_BLOCK = 64
 
 
 def _ma_theta(model: ModelSpec, values: np.ndarray) -> float:
@@ -60,14 +72,18 @@ def covariance(model: ModelSpec, theta, s: int, t: int, T: int) -> float:
     cs = curve_values(model, values, np.array([us, ut]))
     ds, dt = cs["d"][0], cs["d"][1]
     ss, st = cs["sigma"][0], cs["sigma"][1]
-    return float(_cov_formula(np.array([ds]), np.array([dt]),
-                              np.array([float(s - t)]), vt)[0] * ss * st)
+    return float(_cov_formula(ds, dt, float(s - t), vt, gammaln(1.0 - ds),
+                              gammaln(ds)) * ss * st)
 
 
-def _cov_formula(ds, dt, k, vt):
-    """Vectorized closed form at unit sigma; k = s - t >= 0."""
+def _cov_formula(ds, dt, k, vt, lg_one_minus_ds, lg_ds):
+    """Vectorized closed form at unit sigma; k = s - t >= 0.
+
+    lg_one_minus_ds and lg_ds are gammaln(1 - ds) and gammaln(ds), which
+    depend on the row alone, so a caller evaluates them once per row.
+    """
     log_fn = (gammaln(1.0 - ds - dt) + gammaln(k + ds)
-              - gammaln(1.0 - ds) - gammaln(ds) - gammaln(k + 1.0 - dt))
+              - lg_one_minus_ds - lg_ds - gammaln(k + 1.0 - dt))
     bracket = (1.0 + vt * vt
                - vt * (k - dt) / (k - 1.0 + ds)
                - vt * (k + ds) / (k + 1.0 - dt))
@@ -90,14 +106,25 @@ class CovKernel:
         vt = _ma_theta(model, values)
         u = np.arange(1, T + 1) / T
         cs = curve_values(model, values, u)
-        dvals, svals = cs["d"], cs["sigma"]
-        rows, cols = np.tril_indices(T)
-        vals = _cov_formula(dvals[rows], dvals[cols],
-                            (rows - cols).astype(float), vt)
-        vals *= svals[rows] * svals[cols]
-        K = np.zeros((T, T))
-        K[rows, cols] = vals
-        K[cols, rows] = vals
+        d, sig = cs["d"], cs["sigma"]
+        lg_one_minus_d, lg_d = gammaln(1.0 - d), gammaln(d)
+        idx = np.arange(T)
+        lower = np.tri(ROW_BLOCK, dtype=bool)
+        K = np.empty((T, T))
+        for i0 in range(0, T, ROW_BLOCK):
+            i1 = min(i0 + ROW_BLOCK, T)
+            rows = slice(i0, i1)
+            # |s - t| keeps the entries right of the diagonal finite; they
+            # are replaced by their mirror images below
+            k = np.abs(idx[rows, None] - idx[:i1]).astype(float)
+            block = _cov_formula(d[rows, None], d[:i1], k, vt,
+                                 lg_one_minus_d[rows, None], lg_d[rows, None])
+            block *= sig[rows, None] * sig[:i1]
+            K[rows, :i0] = block[:, :i0]
+            K[:i0, rows] = block[:, :i0].T
+            square = block[:, i0:]
+            n = i1 - i0
+            K[rows, rows] = np.where(lower[:n, :n], square, square.T)
         return K
 
 
@@ -126,22 +153,24 @@ def innovations_decompose(kernel: CovKernel) -> InnovationsState:
     Computed via a Cholesky factorization rescaled to unit diagonal, which
     equals the classical innovations recursion output by uniqueness of the
     triangular factorization of a positive definite matrix (the recursion
-    itself serves as the O(T^3) reference in the test suite).
+    itself serves as the O(T^3) reference in the test suite).  LAPACK
+    potrf overwrites the matrix the kernel returns: K is symmetric, so its
+    transpose is the same matrix in the column-major order LAPACK works in.
     """
     K = kernel.matrix()
-    try:
-        C = cholesky(K, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    C, info = dpotrf(K.T, lower=True, clean=True, overwrite_a=True)
+    if info > 0:
         raise NotPositiveDefiniteError(
-            f"covariance matrix of size {kernel.T} is not positive definite: {exc}"
-        ) from exc
+            f"covariance matrix of size {kernel.T} is not positive definite: "
+            f"{info}-th leading minor of the array is not positive definite")
     diag = np.diag(C).copy()
     if np.any(diag <= 0.0):
         idx = int(np.argmax(diag <= 0.0))
         raise NotPositiveDefiniteError(
             f"nonpositive prediction variance at index {idx}"
         )
-    return InnovationsState(coeffs=C / diag[None, :], variances=diag ** 2)
+    C /= diag[None, :]
+    return InnovationsState(coeffs=C, variances=diag ** 2)
 
 
 @dataclass(frozen=True)
@@ -171,15 +200,26 @@ def paths_from_state(state: InnovationsState, seed: int, replications) -> np.nda
 
     Reuses a precomputed decomposition; each row depends only on (seed,
     replication), so worker count and evaluation order cannot change the
-    output.
+    output.  Up to PATH_BLOCK paths come from one triangular product
+    (sqrt(v) * Z') L', one path per row of Z'.  BLAS trmm computes every
+    row of such a product alike whatever the number of rows up to its row
+    blocking, which numpy's matmul does not (one path goes to gemv).
     """
-    scale = state.coeffs * np.sqrt(state.variances)[None, :]
-    reps = np.atleast_1d(np.asarray(replications, dtype=int))
+    # Python ints, so an index up to 2^64 - 1 reaches rng_for intact
+    reps = [int(r) for r in
+            np.atleast_1d(np.asarray(replications, dtype=object))]
     T = len(state.variances)
+    sqrt_v = np.sqrt(state.variances)
     out = np.empty((len(reps), T))
-    for i, rep in enumerate(reps):
-        z = rng_for(seed, int(rep)).standard_normal(T)
-        out[i] = scale @ z
+    for j0 in range(0, len(reps), PATH_BLOCK):
+        block = reps[j0:j0 + PATH_BLOCK]
+        z = np.empty((len(block), T), order="F")
+        for i, rep in enumerate(block):
+            z[i] = rng_for(seed, rep).standard_normal(T)
+        z *= sqrt_v
+        out[j0:j0 + len(block)] = dtrmm(1.0, state.coeffs, z, side=True,
+                                        lower=True, trans_a=True, diag=True,
+                                        overwrite_b=True)
     return out
 
 

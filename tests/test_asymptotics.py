@@ -185,6 +185,12 @@ class TestDomainRejections:
             asymptotics.gamma_closed("example2", (0.3, 0.25, 0.5, 0.3))
         with pytest.raises(InfeasibleParameterError):
             asymptotics.gamma_closed("example3", (0.1, 0.5, 0.2, 0.1))
+        # a harmonic d(u) is checked on the validation grid, as the
+        # quadrature checks it on its mesh
+        with pytest.raises(InfeasibleParameterError):
+            asymptotics.gamma_closed("harmonic", (5.0, 0.0, 0.0, 1.0))
+        with pytest.raises(InfeasibleParameterError):
+            asymptotics.gamma_closed("harmonic", (0.25, 0.3, 0.0, 1.0))
 
     def test_slope_family_domain(self):
         with pytest.raises(InfeasibleParameterError):

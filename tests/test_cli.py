@@ -240,6 +240,8 @@ class TestGamma:
     def test_infeasible_theta_exits_3(self):
         assert main(["gamma", "--example", "sec4",
                      "--theta", "0.3,0.25,0.5,0.3,0.5"]) == 3
+        assert main(["gamma", "--example", "harmonic",
+                     "--theta", "5.0,0,0,1.0"]) == 3
 
     def test_usage_errors(self, base_cfg):
         assert main(["gamma"]) == 2  # neither --example nor --config

@@ -1,4 +1,6 @@
 """Monte Carlo harness: plan substitution, tables, MSE grid, parallel safety."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,18 @@ class TestSimulatePaths:
                 model, theta, simulator.SimConfig(T=32, seed=5,
                                                   replication=rep))
             np.testing.assert_array_equal(paths[rep], single)
+
+    def test_peak_memory_below_two_matrices(self):
+        # The kernel is filled and factored in place and the paths come
+        # from one product, so the traced peak stays near one T x T array.
+        T = 2048
+        tracemalloc.start()
+        try:
+            mcharness.simulate_paths(ma_model(), THETA_MA, T, 50, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * T * T * 8
 
 
 class TestMCConfig:

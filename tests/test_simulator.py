@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from lswhittle import (BasisSpec, ConfigError, CurveSpec,
                        InfeasibleParameterError, ModelSpec, simulator)
@@ -96,6 +99,38 @@ class TestCovariance:
                 assert K[s - 1, t - 1] == pytest.approx(want, rel=1e-14)
         np.testing.assert_allclose(K, K.T, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("T", [simulator.ROW_BLOCK - 1,
+                                   simulator.ROW_BLOCK,
+                                   simulator.ROW_BLOCK + 1, 300])
+    def test_kernel_matches_one_shot_construction(self, T):
+        # The row-block fill must give the bits of the closed form
+        # evaluated once over the whole lower triangle, at block edges too.
+        model = ma_model()
+        theta = [0.05, 0.40, 0.5, 0.6, 0.5]
+        K = simulator.make_kernel(model, theta, T).matrix()
+        u = np.arange(1, T + 1) / T
+        d, sig = 0.05 + 0.40 * u, 0.5 + 0.6 * u
+        rows, cols = np.tril_indices(T)
+        ds, dt = d[rows], d[cols]
+        k = (rows - cols).astype(float)
+        vt = 0.5
+        log_fn = (gammaln(1.0 - ds - dt) + gammaln(k + ds)
+                  - gammaln(1.0 - ds) - gammaln(ds) - gammaln(k + 1.0 - dt))
+        bracket = (1.0 + vt * vt
+                   - vt * (k - dt) / (k - 1.0 + ds)
+                   - vt * (k + ds) / (k + 1.0 - dt))
+        vals = np.exp(log_fn) * bracket
+        vals *= sig[rows] * sig[cols]
+        want = np.zeros((T, T))
+        want[rows, cols] = vals
+        want[cols, rows] = vals
+        np.testing.assert_array_equal(K, want)
+        np.testing.assert_array_equal(K, K.T)
+        state = simulator.innovations_decompose(
+            simulator.make_kernel(model, theta, T))
+        L, v = state.coeffs, state.variances
+        np.testing.assert_allclose((L * v) @ L.T, K, rtol=0, atol=1e-12)
+
     def test_kernel_positive_definite(self):
         K = simulator.make_kernel(ma_model(), [0.15, 0.20, 0.5, 0.3, 0.5],
                                   64).matrix()
@@ -163,6 +198,40 @@ class TestPaths:
         rev = simulator.paths_from_state(state, seed=9, replications=[3, 1])
         np.testing.assert_array_equal(fwd[0], rev[1])
         np.testing.assert_array_equal(fwd[1], rev[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.integers(2, 300), size=st.integers(1, 20),
+           seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+    def test_rows_independent_of_batch(self, T, size, seed, data):
+        # Each row is the single-replication call, bit for bit, whatever
+        # the batch size and order.
+        state = simulator.innovations_decompose(simulator.make_kernel(
+            ma_model(), [0.05, 0.40, 0.5, 0.6, 0.5], T))
+        order = data.draw(st.lists(st.integers(0, 2 ** 64 - 1),
+                                   min_size=size, max_size=size, unique=True))
+        batch = simulator.paths_from_state(state, seed, order)
+        for row, rep in zip(batch, order):
+            alone = simulator.paths_from_state(state, seed, [rep])[0]
+            np.testing.assert_array_equal(row, alone)
+
+    def test_rows_independent_of_batch_past_path_block(self):
+        # Batches longer than PATH_BLOCK take several products.
+        state = simulator.innovations_decompose(simulator.make_kernel(
+            ma_model(), [0.05, 0.40, 0.5, 0.6, 0.5], 129))
+        reps = np.random.default_rng(4).permutation(
+            2 * simulator.PATH_BLOCK + 3)
+        batch = simulator.paths_from_state(state, 8, reps)
+        for row, rep in zip(batch, reps):
+            np.testing.assert_array_equal(
+                row, simulator.paths_from_state(state, 8, [rep])[0])
+
+    def test_replication_index_spans_64_bits(self):
+        state = simulator.innovations_decompose(
+            simulator.make_kernel(fn_model(), [0.2, 0.1, 0.7, 0.1], 8))
+        assert simulator.paths_from_state(state, 1, [2 ** 63, 2 ** 64 - 1]
+                                          ).shape == (2, 8)
+        with pytest.raises(ValueError):
+            simulator.paths_from_state(state, 1, [2 ** 64])
 
     def test_sample_variance_matches_kernel(self):
         # Monte Carlo check of the exactness claim at a tiny scale: the

@@ -1,6 +1,10 @@
 """Blockwise Whittle objective and Nelder-Mead estimation."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from lswhittle import (BasisSpec, CurveSpec, ModelSpec, simulator, spectral,
@@ -86,6 +90,31 @@ class TestObjective:
             want += np.sum(w * (np.log(f) + 1.0))
         want /= 4.0 * np.pi * plan.M
         assert obj(theta) == pytest.approx(want, rel=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(0.2, 5.0), d0=st.floats(0.02, 0.48),
+           d1=st.floats(0.02, 0.48), b0=st.floats(0.2, 1.5),
+           b1=st.floats(0.2, 1.5), vt=st.floats(-0.9, 0.9),
+           dims=st.sampled_from([(104, 52, 26), (47, 25, 11)]))
+    def test_objective_scale_equivariance(self, c, d0, d1, b0, b1, vt,
+                                          dims):
+        # sigma -> c sigma and y -> c y multiply f and I by c^2, so only
+        # log f moves, by 2 log c at every ordinate:
+        # L(theta_c; c y) - L(theta; y) = 2 log(c) sum_k w_k / (4 pi).
+        t, n, s = dims
+        model = ma_model()
+        plan = spectral.make_plan(t, n, s)
+        data = sim(model, [0.15, 0.20, 0.5, 0.3, 0.5], t, seed=3)
+        theta = np.array([d0, d1 - d0, b0, b1 - b0, vt])
+        theta_c = theta.copy()
+        theta_c[2:4] *= c
+        base = make_objective(model, data, plan)[0](theta)
+        scaled = make_objective(model, c * data, plan)[0](theta_c)
+        w = np.full(n // 2, 4.0 * np.pi / n)
+        if n % 2 == 0:
+            w[-1] /= 2.0  # the Nyquist ordinate is its own mirror
+        want = 2.0 * math.log(c) * w.sum() / (4.0 * np.pi)
+        assert abs(scaled - base - want) <= 1e-12 * max(abs(want), abs(base))
 
     def test_sigma_minimizer_matches_calculus(self):
         # for f = sigma^2 f1 the exact minimizer over sigma is
