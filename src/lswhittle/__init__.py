@@ -22,8 +22,8 @@ from .spectral import (BlockPlan, LocalPeriodogram, Taper, local_periodogram,
                        write_periodogram_csv)
 from .tvmodel import (BasisSpec, ConstraintReport, CurveSpec, ModelSpec,
                       ParamVector, curve_values, eval_curve,
-                      log_spectral_gradient_grid, log_spectral_grid,
-                      require_feasible, spectral_density, validate_params)
+                      log_spectral_gradient_grid, require_feasible,
+                      spectral_density, validate_params)
 from .whittle import (FitResult, WhittleObjective, estimate, fit_summary,
                       starting_point, write_fit_csv)
 
@@ -42,7 +42,7 @@ __all__ = [
     "gamma_quadrature", "gram_closed", "gram_quadrature",
     "innovations_decompose", "known_keys", "lambda_mesh",
     "load_config", "local_periodogram", "log_spectral_gradient_grid",
-    "log_spectral_grid", "make_kernel",
+    "make_kernel",
     "make_plan", "mc_table_csv", "mse_grid", "mse_grid_csv", "nearest_plan",
     "nearest_valid_plan", "parse_config_text", "parse_range",
     "paths_from_state", "read_series_csv", "require_feasible", "rng_for",

@@ -6,9 +6,9 @@ The estimator's limit covariance is the inverse of
                    [grad log f(u, lam)] [grad log f(u, lam)]' dlam du
 
 computed here two independent ways: tensor Gauss-Legendre quadrature with a
-dyadically graded frequency mesh (the integrand has an integrable log^2
-singularity at lam = 0), and a catalog of closed forms for the standard
-model families.  Standard errors follow as sqrt(diag(Gamma^{-1}) / T).
+frequency mesh graded dyadically toward 0 (the score's log^2 singularity)
+and pi (an AR/MA zero near +-1), and a catalog of closed forms for the
+standard model families.  Standard errors follow as sqrt(diag(Gamma^{-1}) / T).
 """
 from __future__ import annotations
 
@@ -26,32 +26,38 @@ from .tvmodel import (VALIDATION_GRID, BasisSpec, CurveSpec, ModelSpec,
 PI2_6 = np.pi ** 2 / 6.0
 
 
-def _gl_nodes(a: float, b: float, n: int):
+def _gauss_legendre(n: int, lo, hi):
+    """n-point Gauss-Legendre nodes and weights on each panel [lo_k, hi_k]."""
     x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
-def lambda_mesh(n_nodes: int = 24, n_refine: int = 48):
-    """Graded Gauss-Legendre mesh on (0, pi] concentrating toward 0.
+def _read_only(nodes, weights):
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    Panels [pi/2^{k+1}, pi/2^k] for k = 0..n_refine-1 plus a final stub
-    [0, pi/2^n_refine]; the geometric grading tames the log^2 blow-up of
-    the score at frequency zero.  With the defaults the mesh integrates
-    log(2 sin lam/2)^2 kernels to ~1e-12 absolute.
+
+def _lambda_rule():
+    """12-point panels on (0, pi) that halve toward both ends.
+
+    [pi/2^{k+1}, pi/2^k] for k = 1..48 and the stub [0, pi/2^49] tame the
+    log^2 singularity of the memory score at lam = 0; their mirror images
+    about pi/2 serve an AR or MA factor whose zero nears lam = pi as its
+    coefficient nears +-1.
     """
-    nodes, weights = [], []
-    hi = np.pi
-    for _ in range(n_refine):
-        lo = hi / 2.0
-        x, w = _gl_nodes(lo, hi, n_nodes)
-        nodes.append(x)
-        weights.append(w)
-        hi = lo
-    x, w = _gl_nodes(0.0, hi, n_nodes)
-    nodes.append(x)
-    weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.append(np.pi / 2.0 ** np.arange(1, 50), 0.0)
+    x, w = _gauss_legendre(12, edges[1:], edges[:-1])
+    return _read_only(np.concatenate([x, np.pi - x]), np.concatenate([w, w]))
+
+
+_U_RULE = _read_only(*_gauss_legendre(64, np.zeros(1), np.ones(1)))
+_LAMBDA_RULE = _lambda_rule()
+
+
+def lambda_mesh():
+    """The fixed frequency rule (nodes, weights) on (0, pi), read-only."""
+    return _LAMBDA_RULE
 
 
 @dataclass(frozen=True)
@@ -71,16 +77,15 @@ def _check_spd(mat: np.ndarray, what: str):
         raise NotPositiveDefiniteError(f"{what} is not positive definite: {exc}") from exc
 
 
-def gamma_quadrature(model: ModelSpec, theta, n_u: int = 64,
-                     n_lam: int = 24, n_refine: int = 48) -> GammaMatrix:
-    """Fisher matrix by tensor quadrature over u in (0,1), lam in (0,pi].
+def gamma_quadrature(model: ModelSpec, theta) -> GammaMatrix:
+    """Fisher matrix by tensor quadrature over u in (0,1), lam in (0,pi).
 
     Feasibility is checked at the interior u-nodes only (a curve may touch
     the constraint boundary at an endpoint of [0,1] and still give a
     finite integral).
     """
     values = theta_values(model, theta)
-    xu, wu = _gl_nodes(0.0, 1.0, n_u)
+    xu, wu = _U_RULE
     vals = curve_values(model, values, xu)
     if np.any(vals["d"] <= 0.0) or np.any(vals["d"] >= 0.5):
         raise InfeasibleParameterError("d(u) leaves (0, 1/2) on the quadrature mesh")
@@ -89,9 +94,9 @@ def gamma_quadrature(model: ModelSpec, theta, n_u: int = 64,
     for key in vals:
         if key.startswith(("ar", "ma")) and np.any(np.abs(vals[key]) >= 1.0):
             raise InfeasibleParameterError(f"|{key}(u)| reaches 1 on the mesh")
-    xl, wl = lambda_mesh(n_lam, n_refine)
+    xl, wl = _LAMBDA_RULE
     grad = log_spectral_gradient_grid(model, values, xu, xl)
-    # factor 2: the integrand is even in lam, so (0, pi] is doubled
+    # factor 2: the integrand is even in lam, so (0, pi) is doubled
     gamma = np.einsum("a,b,iab,jab->ij", wu, 2.0 * wl, grad, grad) / (4.0 * np.pi)
     gamma = 0.5 * (gamma + gamma.T)
     _check_spd(gamma, "quadrature Fisher matrix")
@@ -326,7 +331,7 @@ def gram_closed(basis: BasisSpec) -> np.ndarray:
 
 def gram_quadrature(basis: BasisSpec) -> np.ndarray:
     """Gram matrix by 64-node Gauss-Legendre quadrature (independent route)."""
-    x, w = _gl_nodes(0.0, 1.0, 64)
+    x, w = _U_RULE
     design = basis.design_matrix(x)
     return design.T @ (design * w[:, None])
 

@@ -105,7 +105,7 @@ def _dump_effective(args, cfg: dict) -> None:
 
 
 def _workers(args) -> int:
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
         return max(1, args.threads)
     return mcharness.default_workers()
 
@@ -242,7 +242,7 @@ def cmd_gamma(args) -> int:
 
     for gamma in results:
         _print_gamma(gamma, gamma.provenance)
-        if args.t:
+        if args.t is not None:
             se = asymptotics.asymptotic_se(gamma, args.t)
             print(f"asymptotic SD at T={args.t}:")
             for name, sd in zip(se.names, se.sd):

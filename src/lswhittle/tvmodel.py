@@ -385,14 +385,6 @@ def log_density_score(table: tuple, values: np.ndarray,
     return score
 
 
-def log_spectral_grid(model: ModelSpec, theta, u, lam) -> np.ndarray:
-    """log f(u_a, lam_b) on the tensor grid: shape (len(u), len(lam))."""
-    table = slot_table(model, u)
-    vals = slot_values(table, theta_values(model, theta))
-    return log_density(table, {k: v[:, None] for k, v in vals.items()},
-                       frequencies(lam))
-
-
 def spectral_density(model: ModelSpec, theta, u, lam):
     """f(u, lam) for scalar or array u and lam (broadcast elementwise)."""
     scalar = (np.ndim(u) == 0) and (np.ndim(lam) == 0)

@@ -40,17 +40,53 @@ class TestLambdaMesh:
         assert np.all((x > 0.0) & (x <= np.pi))
         assert np.all(w > 0.0)
 
+    def test_mesh_is_read_only(self):
+        for array in asymptotics.lambda_mesh():
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
+class TestFixedRules:
+    def test_built_once_at_import(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        model = asymptotics.catalog_model("sec4")
+        for _ in range(3):
+            asymptotics.gamma_quadrature(model, FEASIBLE_POINTS["sec4"][0])
+            asymptotics.gram_quadrature(BasisSpec("polynomial", degree=2))
+        assert calls == []
+
+
+# AR/MA zeros near lam = 0 or pi.  example5 leaves out a2 == a3, where the
+# AR and MA factors cancel and Gamma is singular.
+NEAR_UNIT_ROOT = (
+    [pytest.param("sec4", (0.15, 0.20, 0.5, 0.3, vt), id=f"sec4-vt={vt}")
+     for vt in (0.85, 0.9, 0.95, -0.85, -0.9, -0.95)]
+    + [pytest.param("example5", (0.3, a2, a3), id=f"example5-a={a2},{a3}")
+       for a2, a3 in ((0.95, -0.95), (-0.95, 0.95), (0.95, 0.3),
+                      (-0.95, 0.3), (0.3, 0.95), (0.3, -0.95))])
+
+
+def assert_quadrature_matches_closed(example_id, theta):
+    closed = asymptotics.gamma_closed(example_id, theta)
+    model = asymptotics.catalog_model(example_id)
+    quadr = asymptotics.gamma_quadrature(model, theta)
+    scale = np.abs(closed.matrix).max()
+    np.testing.assert_allclose(quadr.matrix, closed.matrix,
+                               atol=1e-8 * scale, rtol=1e-8)
+
 
 class TestClosedVersusQuadrature:
     @pytest.mark.parametrize("example_id", sorted(FEASIBLE_POINTS))
     def test_families_agree(self, example_id):
         for theta in FEASIBLE_POINTS[example_id]:
-            closed = asymptotics.gamma_closed(example_id, theta)
-            model = asymptotics.catalog_model(example_id)
-            quadr = asymptotics.gamma_quadrature(model, theta)
-            scale = np.abs(closed.matrix).max()
-            np.testing.assert_allclose(quadr.matrix, closed.matrix,
-                                       atol=1e-8 * scale, rtol=1e-8)
+            assert_quadrature_matches_closed(example_id, theta)
+
+    @pytest.mark.parametrize("example_id,theta", NEAR_UNIT_ROOT)
+    def test_families_agree_near_unit_root(self, example_id, theta):
+        assert_quadrature_matches_closed(example_id, theta)
 
     def test_harmonic_custom_frequencies(self):
         freqs = (1.0, 2.5)

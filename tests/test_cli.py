@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
+import argparse
 import os
 import shutil
 import signal
@@ -12,7 +13,7 @@ import pytest
 
 import lswhittle
 from lswhittle import asymptotics, simulator
-from lswhittle.cli import main
+from lswhittle.cli import _workers, main
 
 BASE_CFG = """\
 d.coeffs = 0.15, 0.20
@@ -248,6 +249,20 @@ class TestGamma:
         assert main(["gamma", "--example", "sec4"]) == 2  # no theta
         assert main(["gamma", "--config", base_cfg,
                      "--method", "closed"]) == 2
+
+    @pytest.mark.parametrize("t", ["0", "-3"])
+    def test_nonpositive_t_exits_2(self, t, capsys):
+        assert main(["gamma", "--example", "sec4", "--theta",
+                     "0.15,0.20,0.5,0.3,0.5", f"--t={t}"]) == 2
+        assert "T must be >= 1" in capsys.readouterr().err
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("threads,want", [(None, 2), (3, 3), (0, 1),
+                                              (-1, 1)])
+    def test_flag_overrides_environment(self, monkeypatch, threads, want):
+        monkeypatch.setenv("LSW_THREADS", "2")
+        assert _workers(argparse.Namespace(threads=threads)) == want
 
 
 def cli_env() -> dict:
