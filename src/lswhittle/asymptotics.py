@@ -8,7 +8,8 @@ The estimator's limit covariance is the inverse of
 computed here two independent ways: tensor Gauss-Legendre quadrature with a
 frequency mesh graded dyadically toward 0 (the score's log^2 singularity)
 and pi (an AR/MA zero near +-1), and a catalog of closed forms for the
-standard model families.  Standard errors follow as sqrt(diag(Gamma^{-1}) / T).
+standard model families; both refuse a singular Gamma (_check_fisher).
+Standard errors follow as sqrt(diag(Gamma^{-1}) / T).
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from .tvmodel import (VALIDATION_GRID, BasisSpec, CurveSpec, ModelSpec,
                       theta_values)
 
 PI2_6 = np.pi ** 2 / 6.0
+SPD_FLOOR = 1e-12   # smallest over largest eigenvalue of an accepted Gamma
+_U_BLOCK = 16       # u nodes per score block in gamma_quadrature
 
 
 def _gauss_legendre(n: int, lo, hi):
@@ -77,12 +80,25 @@ def _check_spd(mat: np.ndarray, what: str):
         raise NotPositiveDefiniteError(f"{what} is not positive definite: {exc}") from exc
 
 
+def _check_fisher(mat: np.ndarray, what: str) -> None:
+    """Refuse a Fisher matrix whose smallest eigenvalue is not above
+    SPD_FLOOR times its largest: indefinite, or singular up to rounding,
+    as at a non-identified theta (example5 with equal AR and MA slopes)."""
+    eig = np.linalg.eigvalsh(mat)
+    if not eig[0] > SPD_FLOOR * eig[-1]:
+        raise NotPositiveDefiniteError(
+            f"{what} is not positive definite: eigenvalues {eig[0]:.3g} "
+            f"to {eig[-1]:.3g}, ratio floor {SPD_FLOOR:g}")
+
+
 def gamma_quadrature(model: ModelSpec, theta) -> GammaMatrix:
     """Fisher matrix by tensor quadrature over u in (0,1), lam in (0,pi).
 
     Feasibility is checked at the interior u-nodes only (a curve may touch
     the constraint boundary at an endpoint of [0,1] and still give a
-    finite integral).
+    finite integral).  The score is built _U_BLOCK u nodes at a time,
+    scaled by the square roots of the weights and contracted by one Gram
+    product per block, so only one block of the grid is held at once.
     """
     values = theta_values(model, theta)
     xu, wu = _U_RULE
@@ -95,11 +111,18 @@ def gamma_quadrature(model: ModelSpec, theta) -> GammaMatrix:
         if key.startswith(("ar", "ma")) and np.any(np.abs(vals[key]) >= 1.0):
             raise InfeasibleParameterError(f"|{key}(u)| reaches 1 on the mesh")
     xl, wl = _LAMBDA_RULE
-    grad = log_spectral_gradient_grid(model, values, xu, xl)
     # factor 2: the integrand is even in lam, so (0, pi) is doubled
-    gamma = np.einsum("a,b,iab,jab->ij", wu, 2.0 * wl, grad, grad) / (4.0 * np.pi)
+    root_wl = np.sqrt(2.0 * wl)
+    gamma = np.zeros((len(values), len(values)))
+    for start in range(0, len(xu), _U_BLOCK):
+        block = slice(start, start + _U_BLOCK)
+        grad = log_spectral_gradient_grid(model, values, xu[block], xl)
+        grad *= np.sqrt(wu[block])[:, None] * root_wl
+        flat = grad.reshape(len(values), -1)
+        gamma += flat @ flat.T
+    gamma /= 4.0 * np.pi
     gamma = 0.5 * (gamma + gamma.T)
-    _check_spd(gamma, "quadrature Fisher matrix")
+    _check_fisher(gamma, "quadrature Fisher matrix")
     return GammaMatrix(matrix=gamma, provenance="quadrature",
                        theta=values.copy(), names=model.param_names())
 
@@ -225,7 +248,8 @@ def gamma_closed(example_id: str, theta, freqs=(1.0, 2.0)) -> GammaMatrix:
     blocks are orthogonal and each depends on its own curve alone; only
     the AR/MA rows couple to d, and they are the one family-specific part.
     Raises InfeasibleParameterError when theta leaves the formula's domain
-    (memory curve outside (0, 1/2), nonpositive scale, ARMA box violated).
+    (memory curve outside (0, 1/2), nonpositive scale, ARMA box violated)
+    and NotPositiveDefiniteError when Gamma is singular (see _check_fisher).
     """
     model = catalog_model(example_id, freqs)
     values = theta_values(model, theta)
@@ -246,6 +270,7 @@ def gamma_closed(example_id: str, theta, freqs=(1.0, 2.0)) -> GammaMatrix:
             raise InfeasibleParameterError("MA coefficient must lie in (-1, 1)")
         mat[:2, 4] = mat[4, :2] = _log_ratio(vt) * np.array([1.0, 0.5])
         mat[4, 4] = 1.0 / (1.0 - vt * vt)
+    _check_fisher(mat, f"{example_id} Fisher matrix")
     return GammaMatrix(matrix=mat, provenance=example_id,
                        theta=values.copy(), names=model.param_names())
 

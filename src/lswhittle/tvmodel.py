@@ -24,6 +24,7 @@ concurrently.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -145,6 +146,17 @@ class CurveSpec:
         return self.basis.size
 
 
+@functools.lru_cache(maxsize=None)
+def _param_names(n_d: int, n_sigma: int, ar_sizes: tuple, ma_sizes: tuple) -> tuple:
+    names = [f"alpha{j}" for j in range(n_d)]
+    names += [f"beta{j}" for j in range(n_sigma)]
+    for k, size in enumerate(ar_sizes):
+        names += [f"phi{k + 1}_{j}" for j in range(size)]
+    for k, size in enumerate(ma_sizes):
+        names += [f"theta{k + 1}_{j}" for j in range(size)]
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Full model: d curve, sigma curve, and optional AR/MA coefficient curves."""
@@ -165,13 +177,10 @@ class ModelSpec:
         return sum(c.size for _, c in self.curves())
 
     def param_names(self) -> tuple:
-        names = [f"alpha{j}" for j in range(self.d.size)]
-        names += [f"beta{j}" for j in range(self.sigma.size)]
-        for k, c in enumerate(self.ar):
-            names += [f"phi{k + 1}_{j}" for j in range(c.size)]
-        for k, c in enumerate(self.ma):
-            names += [f"theta{k + 1}_{j}" for j in range(c.size)]
-        return tuple(names)
+        """Slot names in packed order; models of one shape share the tuple."""
+        return _param_names(self.d.size, self.sigma.size,
+                            tuple(c.size for c in self.ar),
+                            tuple(c.size for c in self.ma))
 
     def curves(self) -> tuple:
         """(slot key, CurveSpec) pairs in packed order: d, sigma, AR, MA."""

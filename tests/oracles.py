@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from lswhittle import spectral_density
+from lswhittle import asymptotics, log_spectral_gradient_grid, spectral_density
 
 
 def fn_acv(d, k):
@@ -102,3 +102,17 @@ def quad_gram(basis, i, j):
                   * basis.design_matrix(np.array([u]))[0, j], 0.0, 1.0,
                   limit=200)
     return val
+
+
+def einsum_gamma(model, theta):
+    """Quadrature Fisher matrix contracted over the whole (u, lam) grid.
+
+    The full score grid, shape (p, 64, 1176), is built in one call and
+    reduced by one einsum over the package's u rule and lam mesh; this is
+    the reference for the blockwise Gram products of gamma_quadrature.
+    """
+    xu, wu = asymptotics._U_RULE
+    xl, wl = asymptotics.lambda_mesh()
+    grad = log_spectral_gradient_grid(model, theta, xu, xl)
+    gamma = np.einsum("a,b,iab,jab->ij", wu, 2.0 * wl, grad, grad) / (4.0 * np.pi)
+    return 0.5 * (gamma + gamma.T)

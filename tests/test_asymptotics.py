@@ -1,5 +1,6 @@
 """Fisher matrices (closed vs quadrature), standard errors, variance profiles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from lswhittle import (BasisSpec, InfeasibleParameterError, ModelSpec,
                        NotPositiveDefiniteError, asymptotics)
 
-from oracles import quad_gram
+from oracles import einsum_gamma, quad_gram
 
 PI2_6 = math.pi ** 2 / 6.0
 
@@ -59,6 +60,50 @@ class TestFixedRules:
         assert calls == []
 
 
+def sample_theta(family, rng):
+    """One feasible theta of a catalog family."""
+    if family in ("example2", "sec4"):
+        d0, d1 = rng.uniform(0.02, 0.48, size=2)
+        b0, b1 = rng.uniform(0.2, 1.5), rng.uniform(0.05, 1.5)
+        theta = (d0, d1 - d0, b0, b1 - b0)
+        return theta + (rng.uniform(-0.9, 0.9),) if family == "sec4" else theta
+    if family == "example3":
+        d0, d1 = rng.uniform(0.02, 0.45, size=2)
+        return (math.log(d0), math.log(d1 / d0), rng.uniform(-1.0, 1.0),
+                rng.uniform(-1.0, 1.0))
+    if family == "harmonic":
+        return (rng.uniform(0.15, 0.35), rng.uniform(-0.05, 0.05),
+                rng.uniform(-0.05, 0.05), rng.uniform(0.2, 2.0))
+    return (rng.uniform(0.02, 0.48), rng.uniform(-0.9, 0.9),
+            rng.uniform(-0.9, 0.9))
+
+
+class TestBlockContraction:
+    @pytest.mark.parametrize("family", asymptotics.CATALOG_IDS)
+    def test_matches_full_grid_einsum(self, family):
+        rng = np.random.default_rng(asymptotics.CATALOG_IDS.index(family))
+        model = asymptotics.catalog_model(family)
+        for _ in range(20):
+            theta = sample_theta(family, rng)
+            want = einsum_gamma(model, theta)
+            got = asymptotics.gamma_quadrature(model, theta).matrix
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-13 * np.abs(want).max())
+
+    def test_peak_memory_below_full_score_grid(self):
+        model = asymptotics.catalog_model("sec4")
+        theta = FEASIBLE_POINTS["sec4"][0]
+        asymptotics.gamma_quadrature(model, theta)
+        n_u, n_lam = len(asymptotics._U_RULE[0]), len(asymptotics.lambda_mesh()[0])
+        tracemalloc.start()
+        try:
+            asymptotics.gamma_quadrature(model, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.n_params * n_u * n_lam * 8
+
+
 # AR/MA zeros near lam = 0 or pi.  example5 leaves out a2 == a3, where the
 # AR and MA factors cancel and Gamma is singular.
 NEAR_UNIT_ROOT = (
@@ -105,6 +150,9 @@ class TestClosedVersusQuadrature:
         assert closed.provenance == "sec4"
         assert quadr.provenance == "quadrature"
         assert closed.names == quadr.names == model.param_names()
+        # equal models share one names tuple, so retained results do too
+        assert model.param_names() is asymptotics.catalog_model("sec4").param_names()
+        assert closed.names is asymptotics.gamma_closed("sec4", theta).names
 
 
 class TestClosedFormEntries:
@@ -248,6 +296,27 @@ class TestDomainRejections:
             asymptotics.gamma_quadrature(model, (0.3, 0.25, 0.5, 0.3))
         with pytest.raises(InfeasibleParameterError):
             asymptotics.gamma_quadrature(model, (0.15, 0.2, -0.5, 0.3))
+
+    # a2 == a3: the AR and MA factors of example5 cancel, so theta is not
+    # identified and Gamma is singular up to rounding
+    @pytest.mark.parametrize("theta", [(0.3, 0.5, 0.5), (0.3, 0.95, 0.95),
+                                       (0.3, -0.95, -0.95)])
+    def test_singular_gamma_refused_by_both_routes(self, theta):
+        with pytest.raises(NotPositiveDefiniteError):
+            asymptotics.gamma_closed("example5", theta)
+        with pytest.raises(NotPositiveDefiniteError):
+            asymptotics.gamma_quadrature(asymptotics.catalog_model("example5"),
+                                         theta)
+
+    def test_nearly_singular_gamma_accepted_by_both_routes(self):
+        # smallest over largest eigenvalue 1.3e-9, above the 1e-12 floor
+        theta = (0.3, 0.5, 0.5001)
+        closed = asymptotics.gamma_closed("example5", theta).matrix
+        quadr = asymptotics.gamma_quadrature(
+            asymptotics.catalog_model("example5"), theta).matrix
+        for mat in (closed, quadr):
+            eig = np.linalg.eigvalsh(mat)
+            assert 1e-10 < eig[0] / eig[-1] < 1e-8
 
     def test_unknown_catalog_id(self):
         with pytest.raises(ValueError):

@@ -244,6 +244,15 @@ class TestGamma:
         assert main(["gamma", "--example", "harmonic",
                      "--theta", "5.0,0,0,1.0"]) == 3
 
+    def test_singular_gamma_exits_3(self, capsys):
+        # a2 == a3 cancels example5's AR and MA factors
+        assert main(["gamma", "--example", "example5",
+                     "--theta", "0.3,0.5,0.5", "--t", "512"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert "Fisher matrix" not in captured.out
+
     def test_usage_errors(self, base_cfg):
         assert main(["gamma"]) == 2  # neither --example nor --config
         assert main(["gamma", "--example", "sec4"]) == 2  # no theta
