@@ -13,6 +13,7 @@ Standard errors follow as sqrt(diag(Gamma^{-1}) / T).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,7 +195,8 @@ def _i_int(x: float) -> float:
 
 
 def _j_int(a: float) -> float:
-    """int_0^1 u * ell(a u) du with ell the log-kernel cross moment.
+    """(1/a) int_0^1 u log(1 + a u) du = int_0^1 u^2 ell(a u) du, with
+    ell(x) = log(1 + x)/x the log-kernel cross moment.
 
     Closed form ((1 - a^{-2}) log(1+a) - 1/2 + 1/a) / (2a); series
     sum (-1)^k a^k / ((k+1)(k+3)) near zero.  Needs a > -1.
@@ -215,7 +217,12 @@ def _log_ratio(vt: float) -> float:
 
 
 def catalog_model(example_id: str, freqs=(1.0, 2.0)) -> ModelSpec:
-    """ModelSpec matching each closed-form catalog entry."""
+    """ModelSpec matching each closed-form catalog entry, built once."""
+    return _catalog_model(example_id, tuple(freqs))
+
+
+@functools.lru_cache(maxsize=64)
+def _catalog_model(example_id: str, freqs: tuple) -> ModelSpec:
     poly1 = BasisSpec("polynomial", degree=1)
     if example_id == "example2":
         return ModelSpec(d=CurveSpec(poly1), sigma=CurveSpec(poly1))
@@ -224,7 +231,7 @@ def catalog_model(example_id: str, freqs=(1.0, 2.0)) -> ModelSpec:
                          sigma=CurveSpec(poly1, link="log"))
     if example_id == "harmonic":
         return ModelSpec(
-            d=CurveSpec(BasisSpec("harmonic", freqs=tuple(freqs))),
+            d=CurveSpec(BasisSpec("harmonic", freqs=freqs)),
             sigma=CurveSpec(BasisSpec("polynomial", degree=0)),
         )
     if example_id == "example5":

@@ -8,6 +8,7 @@ completion order.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -59,9 +60,15 @@ def _fit_task(args):
     return rep, fit.theta.values, fit.converged
 
 
-def _run_fits(paths, model, plan, taper_kind, workers):
+def _pool_size(workers: int, reps: int) -> int:
+    return min(workers, reps, os.cpu_count() or 1)
+
+
+def _run_fits(paths, model, plan, taper_kind, workers, pool=None):
+    """Fit every path on one plan: in `pool` if given, else in-process or
+    in a pool of its own."""
     reps = len(paths)
-    workers = min(workers, reps, os.cpu_count() or 1)
+    workers = _pool_size(workers, reps)
     tasks = [(r, paths[r], model, plan, taper_kind) for r in range(reps)]
     estimates = np.empty((reps, model.n_params))
     converged = np.zeros(reps, dtype=bool)
@@ -71,12 +78,14 @@ def _run_fits(paths, model, plan, taper_kind, workers):
             estimates[rep] = values
             converged[rep] = ok
 
-    if workers <= 1:
+    chunksize = max(1, reps // (4 * workers))
+    if pool is not None:
+        collect(pool.map(_fit_task, tasks, chunksize=chunksize))
+    elif workers <= 1:
         collect(map(_fit_task, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            collect(pool.map(_fit_task, tasks,
-                             chunksize=max(1, reps // (4 * workers))))
+        with ProcessPoolExecutor(max_workers=workers) as own:
+            collect(own.map(_fit_task, tasks, chunksize=chunksize))
     return estimates, converged
 
 
@@ -187,14 +196,19 @@ def mse_grid(model: ModelSpec, theta, T: int, n_values, s_values, reps: int,
     cells = valid_cells(T, n_values, s_values)
     paths = simulate_paths(model, theta0, T, reps, seed)
     rows = []
-    for n, s in cells:
-        plan = make_plan(T, n, s)
-        estimates, _ = _run_fits(paths, model, plan, taper, workers)
-        # Every replication enters every cell: the paired-seed comparison
-        # breaks if cells average over different replication subsets.
-        err = estimates - theta0[None, :]
-        mse = float(np.mean(np.sum(err * err, axis=1)))
-        rows.append((n, s, plan.M, mse, reps))
+    size = _pool_size(workers, reps)
+    # One pool serves every cell, so its workers start once per grid.
+    with (ProcessPoolExecutor(max_workers=size) if size > 1
+          else contextlib.nullcontext()) as pool:
+        for n, s in cells:
+            plan = make_plan(T, n, s)
+            estimates, _ = _run_fits(paths, model, plan, taper, workers,
+                                     pool=pool)
+            # Every replication enters every cell: paired comparisons
+            # break if cells average over different replication subsets.
+            err = estimates - theta0[None, :]
+            mse = float(np.mean(np.sum(err * err, axis=1)))
+            rows.append((n, s, plan.M, mse, reps))
     return MSEGrid(rows=tuple(rows), T=T, seed=seed)
 
 

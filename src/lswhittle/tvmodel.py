@@ -172,7 +172,7 @@ class ModelSpec:
         if len(self.ar) > 1 or len(self.ma) > 1:
             raise ValueError("AR and MA orders are limited to 0 or 1")
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
         return sum(c.size for _, c in self.curves())
 
@@ -353,13 +353,17 @@ def log_density(table: tuple, curves: dict, freqs: Frequencies) -> np.ndarray:
     kernels' shape for paired points.  The terms are summed in slot order:
     2 log sigma - log 2 pi, then - d * 2 log(2 sin|lam|/2), then
     +- log(1 + 2 a cos lam + a^2) with a = sign * c (+ for MA, - for AR).
+    Each full-size term is built in one buffer, in that order of operations.
     """
-    logf = 2.0 * np.log(curves["sigma"]) - LOG_2PI
-    logf = logf - curves["d"] * freqs.half2
+    logf = curves["d"] * freqs.half2
+    np.subtract(2.0 * np.log(curves["sigma"]) - LOG_2PI, logf, out=logf)
     for slot in table[2:]:  # the AR/MA slots follow d and sigma
         a = slot.spec.sign * curves[slot.key]
-        term = np.log1p(2.0 * a * freqs.coslam + a * a)
-        logf = logf + term if slot.key.startswith("ma") else logf - term
+        term = 2.0 * a * freqs.coslam
+        term += a * a
+        np.log1p(term, out=term)
+        op = np.add if slot.key.startswith("ma") else np.subtract
+        op(logf, term, out=logf)
     return logf
 
 

@@ -35,8 +35,9 @@ PENALTY_SCALE = 1e3
 class WhittleObjective:
     """Callable objective over the packed coefficient vector.
 
-    Precomputes the slot table at the block midpoints and the frequency
-    kernels, so one evaluation is a handful of small vectorized array ops.
+    Precomputes the slot table at the block midpoints, each curve's box
+    and the frequency kernels, so one evaluation is a handful of small
+    vectorized array ops.
     """
 
     def __init__(self, periodogram: LocalPeriodogram, model: ModelSpec):
@@ -50,23 +51,28 @@ class WhittleObjective:
             w[-1] = 2.0 * np.pi / plan.N  # Nyquist is its own mirror image
         self._w = w
         self._slots = slot_table(model, plan.u)
+        self._bounds = [(D_LOW, D_HIGH), (SIGMA_LOW, np.inf)] + \
+            [(-ARMA_BOUND, ARMA_BOUND)] * (len(self._slots) - 2)
         self._norm = 1.0 / (4.0 * np.pi * plan.M)
 
     def __call__(self, theta) -> float:
         vals = slot_values(self._slots, theta_values(self.model, theta))
         penalty = 0.0
-        d = np.clip(vals["d"], D_LOW, D_HIGH)
-        penalty += ((vals["d"] - d) ** 2).sum()
-        sig = np.maximum(vals["sigma"], SIGMA_LOW)
-        penalty += ((vals["sigma"] - sig) ** 2).sum()
-        curves = {"d": d[:, None], "sigma": sig[:, None]}
-        for slot in self._slots[2:]:  # the AR/MA slots
-            c = np.clip(vals[slot.key], -ARMA_BOUND, ARMA_BOUND)
-            penalty += ((vals[slot.key] - c) ** 2).sum()
+        curves = {}
+        for slot, (lo, hi) in zip(self._slots, self._bounds):
+            c = vals[slot.key]
+            # A curve inside its box needs no clip and adds exactly +0.0.
+            if not lo <= c.min() <= c.max() <= hi:
+                clipped = np.minimum(np.maximum(c, lo), hi)
+                penalty += ((c - clipped) ** 2).sum()
+                c = clipped
             curves[slot.key] = c[:, None]
         logf = log_density(self._slots, curves, self._freqs)
-        dev = logf + self.ordinates * np.exp(-logf)
-        return float(self._norm * (dev @ self._w).sum()
+        dev = np.negative(logf)
+        np.exp(dev, out=dev)
+        dev *= self.ordinates
+        dev += logf  # log f + I / f
+        return float(self._norm * np.add.reduce(dev @ self._w)
                      + PENALTY_SCALE * penalty)
 
 

@@ -281,3 +281,17 @@ class TestPoolSize:
         monkeypatch.setattr(mcharness.os, "cpu_count", lambda: None)
         mcharness._run_fits(paths, model, plan, "cosine", 64)
         assert len(RecordingPool.sizes) == 3
+
+    def test_grid_opens_one_pool_for_all_cells(self, monkeypatch):
+        monkeypatch.setattr(mcharness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(mcharness.os, "cpu_count", lambda: 2)
+        kwargs = dict(model=fn_model(), theta=[0.2, 0.1, 0.7, 0.1], T=128,
+                      n_values=[32, 40, 48], s_values=[32, 40, 44], reps=3,
+                      seed=9)
+        alone = mcharness.mse_grid(workers=1, **kwargs)
+        assert RecordingPool.sizes == []
+        pooled = mcharness.mse_grid(workers=2, **kwargs)
+        assert len(pooled.rows) == 3
+        assert RecordingPool.sizes == [2]
+        assert mcharness.mse_grid_csv(pooled) == mcharness.mse_grid_csv(alone)

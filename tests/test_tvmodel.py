@@ -8,6 +8,8 @@ from lswhittle import (BasisSpec, CurveSpec, InfeasibleParameterError,
                        log_spectral_gradient_grid, require_feasible,
                        spectral_density, validate_params)
 from lswhittle.asymptotics import catalog_model
+from lswhittle.tvmodel import (LOG_2PI, frequencies, log_density, slot_table,
+                               slot_values)
 
 from oracles import fd_gradient
 
@@ -206,6 +208,32 @@ def example5_theta(model, rng):
     """
     return np.array([rng.uniform(0.05, 0.45), rng.uniform(-0.8, 0.8),
                      rng.uniform(-0.8, 0.8)])
+
+
+class TestLogDensity:
+    @pytest.mark.parametrize("family,theta", [
+        ("sec4", [0.15, 0.20, 0.5, 0.3, 0.5]),
+        ("example5", [0.3, 0.4, -0.3]),
+    ])
+    def test_terms_summed_in_slot_order(self, family, theta):
+        # The in-place build must give the bits of the plain expression,
+        # term by term, on the (u, lam) grid and on paired points.
+        model = catalog_model(family)
+        rng = np.random.default_rng(8)
+        u, lam = rng.uniform(0, 1, 9), rng.uniform(-np.pi, np.pi, 11)
+        for uu, ll in ((u[:, None], lam), (u, lam[:9])):
+            table = slot_table(model, np.ravel(uu))
+            vals = slot_values(table, np.asarray(theta))
+            curves = {k: v.reshape(np.shape(uu)) for k, v in vals.items()}
+            freqs = frequencies(ll)
+            want = 2.0 * np.log(curves["sigma"]) - LOG_2PI
+            want = want - curves["d"] * freqs.half2
+            for slot in table[2:]:
+                a = slot.spec.sign * curves[slot.key]
+                term = np.log1p(2.0 * a * freqs.coslam + a * a)
+                want = want + term if slot.key == "ma1" else want - term
+            got = log_density(table, curves, freqs)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLogSpectralGradient:

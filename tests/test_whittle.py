@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from lswhittle import (BasisSpec, CurveSpec, ModelSpec, simulator, spectral,
-                       spectral_density, whittle)
+                       spectral_density, tvmodel, whittle)
+from lswhittle.asymptotics import catalog_model
 
 from oracles import naive_whittle
 
@@ -161,6 +162,59 @@ class TestObjective:
         below = obj([0.499 - eps, 0.7])
         above = obj([0.499 + eps, 0.7])
         assert abs(above - below) < 1e-6
+
+
+CATALOG_CENTRES = {
+    "example2": [0.2, 0.1, 0.7, 0.1],       # identity links
+    "example3": [-1.6, 0.3, 0.0, 0.2],      # log links
+    "harmonic": [0.2, 0.05, 0.03, 0.8],
+    "example5": [0.3, 0.4, -0.3],           # AR and MA slope bases
+    "sec4": [0.15, 0.2, 0.5, 0.3, 0.5],
+}
+
+
+def clipped_objective(obj, theta):
+    """The objective as np.clip and the summed squared clip distance give
+    it, curve by curve, for comparison with the in-box fast path."""
+    vals = tvmodel.slot_values(obj._slots, np.asarray(theta, dtype=float))
+    bounds = {"d": (tvmodel.D_LOW, tvmodel.D_HIGH),
+              "sigma": (tvmodel.SIGMA_LOW, np.inf)}
+    penalty = 0.0
+    curves = {}
+    for key, v in vals.items():
+        lo, hi = bounds.get(key, (-tvmodel.ARMA_BOUND, tvmodel.ARMA_BOUND))
+        c = np.clip(v, lo, hi)
+        penalty += ((v - c) ** 2).sum()
+        curves[key] = c[:, None]
+    logf = tvmodel.log_density(obj._slots, curves, obj._freqs)
+    dev = logf + obj.ordinates * np.exp(-logf)
+    value = float(obj._norm * (dev @ obj._w).sum()
+                  + whittle.PENALTY_SCALE * penalty)
+    return value, penalty > 0.0
+
+
+class TestObjectiveBitIdentity:
+    @pytest.mark.parametrize("family", sorted(CATALOG_CENTRES))
+    def test_equals_clipped_reference(self, family):
+        # Inside the box the objective skips the clip and the penalty;
+        # outside it clips with minimum/maximum.  Both must give the
+        # reference's bits, for every link, basis and AR/MA factor.
+        model = catalog_model(family)
+        centre = np.array(CATALOG_CENTRES[family])
+        data = sim(ma_model(), [0.15, 0.20, 0.5, 0.3, 0.5], 128, seed=4)
+        rng = np.random.default_rng(sorted(CATALOG_CENTRES).index(family))
+        seen = set()
+        for n, s in ((32, 16), (33, 19)):  # even and odd N
+            obj, _ = make_objective(model, data, spectral.make_plan(128, n, s))
+            for i in range(60):
+                scale = 0.02 if i % 2 else 0.5
+                theta = centre + scale * rng.standard_normal(len(centre))
+                want, clipped = clipped_objective(obj, theta)
+                got = obj(theta)
+                assert np.float64(got).tobytes() == \
+                    np.float64(want).tobytes(), (n, theta)
+                seen.add(clipped)
+        assert seen == {False, True}
 
 
 class TestStartingPoint:
