@@ -4,8 +4,9 @@ stationary Gaussian long-memory processes."""
 from .asymptotics import (GammaMatrix, SEReport, asymptotic_se,
                           average_variance_check, catalog_model,
                           dhat_variance_profile, gamma_closed, gamma_d_block,
-                          gamma_quadrature, gram_closed, gram_quadrature,
-                          lambda_mesh, write_gamma_csv, write_se_csv)
+                          gamma_exact, gamma_quadrature, gram_closed,
+                          gram_quadrature, lambda_mesh, write_gamma_csv,
+                          write_se_csv)
 from .configfile import (build_model, dump_config, known_keys, load_config,
                          parse_config_text, parse_range)
 from .errors import (ConfigError, InfeasibleParameterError, LswhittleError,
@@ -39,7 +40,7 @@ __all__ = [
     "build_model", "catalog_model", "covariance", "curve_values",
     "default_workers", "dhat_variance_profile", "dump_config", "estimate",
     "eval_curve", "fit_summary", "gamma_closed", "gamma_d_block",
-    "gamma_quadrature", "gram_closed", "gram_quadrature",
+    "gamma_exact", "gamma_quadrature", "gram_closed", "gram_quadrature",
     "innovations_decompose", "known_keys", "lambda_mesh",
     "load_config", "local_periodogram", "log_spectral_gradient_grid",
     "make_kernel",

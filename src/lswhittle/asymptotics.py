@@ -5,24 +5,25 @@ The estimator's limit covariance is the inverse of
     Gamma(theta) = (1/4 pi) int_0^1 int_{-pi}^{pi}
                    [grad log f(u, lam)] [grad log f(u, lam)]' dlam du
 
-computed here two independent ways: tensor Gauss-Legendre quadrature with a
-frequency mesh graded dyadically toward 0 (the score's log^2 singularity)
-and pi (an AR/MA zero near +-1), and a catalog of closed forms for the
-standard model families; both refuse a singular Gamma (_check_fisher).
+computed here two independent ways for any model: tensor Gauss-Legendre
+quadrature with a frequency mesh graded dyadically toward 0 (the score's
+log^2 singularity) and pi (an AR/MA zero near +-1), and gamma_exact, whose
+lam integrals are closed forms (gamma_closed is gamma_exact on a catalog
+family); both refuse a singular Gamma (_check_fisher).
 Standard errors follow as sqrt(diag(Gamma^{-1}) / T).
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InfeasibleParameterError, NotPositiveDefiniteError
 from .tvmodel import (VALIDATION_GRID, BasisSpec, CurveSpec, ModelSpec,
-                      curve_values, eval_curve, log_spectral_gradient_grid,
+                      curve_values, log_spectral_gradient_grid, slot_table,
                       theta_values)
 
 PI2_6 = np.pi ** 2 / 6.0
@@ -66,7 +67,8 @@ def lambda_mesh():
 
 @dataclass(frozen=True)
 class GammaMatrix:
-    """Fisher matrix with its provenance ("quadrature" or a catalog id)."""
+    """Fisher matrix with its provenance ("quadrature", "exact" or a
+    catalog id)."""
 
     matrix: np.ndarray
     provenance: str
@@ -129,10 +131,20 @@ def gamma_quadrature(model: ModelSpec, theta) -> GammaMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form catalog
+# Exact Fisher matrix
 #
-# Catalog ids name fixed model shapes (these are also the shapes built by
-# catalog_model):
+# Each score is a curve's chain factor J (design column times link') times
+# d log f / dc, so Gamma = int_0^1 J(u)' G(u) J(u) du, where G(u) holds the
+# lam integrals (1/4 pi) int s_k s_l dlam of the curve scores.  The Fourier
+# series -2 log(2 sin|lam|/2) = 2 sum cos(k lam)/k and
+# log(1 + 2 a cos lam + a^2) = -2 sum (-a)^k cos(k lam)/k give them in
+# closed form, with a = sign * c and g = +1 for MA, -1 for AR:
+#   (d, d)            pi^2/6
+#   (sigma, sigma)    2 / sigma^2; sigma against any other curve: 0
+#   (d, factor)       g sign log(1 + a)/a, limit g sign at a = 0
+#   (factor, factor)  g1 g2 sign1 sign2 / (1 - a1 a2)
+#
+# Catalog ids name fixed model shapes (built by catalog_model):
 #   example2  d = a0 + a1 u and sigma = b0 + b1 u, identity links
 #   example3  d = exp(a0 + a1 u) and sigma = exp(b0 + b1 u), log links
 #   harmonic  d = a0 + sum_j a_j cos(w_j u) (identity), constant sigma = b0
@@ -143,81 +155,13 @@ def gamma_quadrature(model: ModelSpec, theta) -> GammaMatrix:
 # ---------------------------------------------------------------------------
 
 CATALOG_IDS = ("example2", "example3", "harmonic", "example5", "sec4")
-
-
-_FACTORIALS = np.array([math.factorial(k) for k in range(18)], dtype=float)
-
-
-def _poly_exp_moment(m: int, c: float) -> float:
-    """int_0^1 u^m e^{c u} du for m in {0, 1, 2}, stable near c = 0.
-
-    The series window extends to |c| < 1/4 because the closed form for
-    m = 2 loses ~5 digits to cancellation at small c.
-    """
-    if abs(c) < 0.25:
-        k = np.arange(18)
-        return float(np.sum(c ** k / (_FACTORIALS[k] * (k + m + 1))))
-    e = np.exp(c)
-    if m == 0:
-        return float(np.expm1(c) / c)
-    if m == 1:
-        return float(((c - 1.0) * e + 1.0) / c ** 2)
-    return float(((c * c - 2.0 * c + 2.0) * e - 2.0) / c ** 3)
-
-
-def _poly_invsq_moment(m: int, a: float, b: float) -> float:
-    """int_0^1 u^m / (a + b u)^2 du for m in {0, 1, 2}; needs a, a+b > 0."""
-    if a <= 0.0 or a + b <= 0.0:
-        raise InfeasibleParameterError("sigma(u) = a + b u must stay positive")
-    t = b / a
-    if abs(t) < 1e-2:
-        k = np.arange(13)
-        return float(np.sum((k + 1) * (-t) ** k / (k + m + 1)) / a ** 2)
-    if m == 0:
-        return float(1.0 / (a * (a + b)))
-    if m == 1:
-        return float((np.log1p(t) + 1.0 / (1.0 + t) - 1.0) / b ** 2)
-    return float((b - 2.0 * a * np.log1p(t) + b / (1.0 + t)) / b ** 3)
-
-
-def _i_int(x: float) -> float:
-    """int_0^1 u^2 / (1 - x u^2) du, branching at x = 0; needs x < 1."""
-    if x >= 1.0:
-        raise InfeasibleParameterError("ARMA product leaves the unit box")
-    if abs(x) < 1e-3:
-        k = np.arange(9)
-        return float(np.sum(x ** k / (2 * k + 3)))
-    if x > 0.0:
-        r = np.sqrt(x)
-        return float(np.arctanh(r) / (x * r) - 1.0 / x)
-    r = np.sqrt(-x)
-    return float(-1.0 / x - np.arctan(r) / (-x * r))
-
-
-def _j_int(a: float) -> float:
-    """(1/a) int_0^1 u log(1 + a u) du = int_0^1 u^2 ell(a u) du, with
-    ell(x) = log(1 + x)/x the log-kernel cross moment.
-
-    Closed form ((1 - a^{-2}) log(1+a) - 1/2 + 1/a) / (2a); series
-    sum (-1)^k a^k / ((k+1)(k+3)) near zero.  Needs a > -1.
-    """
-    if a <= -1.0:
-        raise InfeasibleParameterError("ARMA coefficient reaches -1")
-    if abs(a) < 1e-3:
-        k = np.arange(9)
-        return float(np.sum((-a) ** k / ((k + 1) * (k + 3))))
-    return float(((1.0 - 1.0 / a ** 2) * np.log1p(a) - 0.5 + 1.0 / a) / (2.0 * a))
-
-
-def _log_ratio(vt: float) -> float:
-    """log(1 - vt)/vt with its limit -1 at vt = 0."""
-    if abs(vt) < 1e-8:
-        return -1.0 - 0.5 * vt
-    return float(np.log1p(-vt) / vt)
+# Open bounds of each curve's domain; AR/MA curves lie in (-1, 1).
+_DOMAIN = {"d": (0.0, 0.5), "sigma": (0.0, np.inf)}
+_VALIDATION_U = np.linspace(0.0, 1.0, VALIDATION_GRID)
 
 
 def catalog_model(example_id: str, freqs=(1.0, 2.0)) -> ModelSpec:
-    """ModelSpec matching each closed-form catalog entry, built once."""
+    """ModelSpec of each catalog shape, built once."""
     return _catalog_model(example_id, tuple(freqs))
 
 
@@ -248,80 +192,132 @@ def _catalog_model(example_id: str, freqs: tuple) -> ModelSpec:
     raise ValueError(f"unknown catalog id {example_id!r}")
 
 
+def _domain_points(basis: BasisSpec) -> np.ndarray:
+    """Where a curve's domain is checked: the ends of a polynomial of
+    degree <= 1 (monotone, so they decide), else the VALIDATION_GRID
+    points; u = 0 is left out where a polynomial without intercept pins
+    the curve (example5's d(0) = 0)."""
+    if basis.kind != "polynomial":
+        return _VALIDATION_U
+    u = _VALIDATION_U[[0, -1]] if basis.degree <= 1 else _VALIDATION_U
+    return u if basis.intercept else u[1:]
+
+
+class _ExactTables(NamedTuple):
+    """What gamma_exact needs of a model that theta does not change.
+
+    rows @ theta gives every eta: each curve's design in its packed
+    columns on the u rule (n_u * n_curves rows), then at its domain points.
+    moments (p * p, n_u) holds w_u s_i s_j g_i(u) g_j(u) for columns i, j,
+    with s = g * sign on AR/MA columns and 1 elsewhere; pairs gives the
+    flat index of (curve i, curve j) in G.
+    """
+
+    rows: np.ndarray
+    moments: np.ndarray
+    pairs: np.ndarray
+    log_curves: tuple    # (curve, its columns) of log-link d and AR/MA curves
+    log_sigma: bool
+    signs: np.ndarray    # sign of each AR/MA curve (curves 2, 3, ...)
+    check_log: tuple     # domain points of the log-link curves
+    lo: np.ndarray       # open domain bounds at each domain point
+    hi: np.ndarray
+    keys: tuple          # the curve of each domain point
+    names: tuple         # model.param_names()
+
+
+@functools.lru_cache(maxsize=64)
+def _exact_tables(model: ModelSpec) -> _ExactTables:
+    xu, wu = _U_RULE
+    table = slot_table(model, xu)
+    rows = np.zeros((len(xu), len(table), model.n_params))
+    design = np.empty((len(xu), model.n_params))
+    curve = np.empty(model.n_params, dtype=int)
+    checks, keys, bounds, check_log, log_curves = [], [], [], [], []
+    for k, slot in enumerate(table):
+        rows[:, k, slot.index] = design[:, slot.index] = slot.design
+        curve[slot.index] = k
+        points = _domain_points(slot.spec.basis)
+        block = np.zeros((len(points), model.n_params))
+        block[:, slot.index] = slot.spec.basis.design_matrix(points)
+        if slot.spec.link == "log":
+            check_log.append(slice(len(keys), len(keys) + len(points)))
+            if slot.key != "sigma":
+                log_curves.append((k, slot.index))
+        checks.append(block)
+        keys += [slot.key] * len(points)
+        bounds += [_DOMAIN.get(slot.key, (-1.0, 1.0))] * len(points)
+    signs = np.array([s.spec.sign for s in table[2:]], dtype=float)
+    g = [1.0 if s.key.startswith("ma") else -1.0 for s in table[2:]]
+    design *= np.concatenate([[1.0, 1.0], g * signs])[curve]
+    lo, hi = np.array(bounds).T
+    return _ExactTables(
+        rows=np.concatenate([rows.reshape(-1, model.n_params)] + checks),
+        moments=(wu * (design.T[:, None, :] * design.T[None, :, :])
+                 ).reshape(-1, len(xu)),
+        pairs=(curve[:, None] * len(table) + curve).ravel(),
+        log_curves=tuple(log_curves), log_sigma=model.sigma.link == "log",
+        signs=signs, check_log=tuple(check_log), lo=lo, hi=hi,
+        keys=tuple(keys), names=model.param_names())
+
+
+def gamma_exact(model: ModelSpec, theta) -> GammaMatrix:
+    """Fisher matrix with the lam integrals in closed form (table above)
+    and the u integral on the 64-node rule: sum_u w_u J(u)' G(u) J(u).
+
+    Raises InfeasibleParameterError when a curve leaves its domain, d in
+    (0, 1/2), sigma > 0, |AR/MA| < 1, at its check points (_domain_points),
+    and NotPositiveDefiniteError when Gamma is singular (_check_fisher).
+    """
+    return _gamma_exact(model, theta, "exact")
+
+
 def gamma_closed(example_id: str, theta, freqs=(1.0, 2.0)) -> GammaMatrix:
-    """Closed-form Fisher matrix for one catalog family, assembled by curve.
+    """gamma_exact for one catalog family, with the id as provenance."""
+    return _gamma_exact(catalog_model(example_id, freqs), theta, example_id)
 
-    The memory kernel integrates to zero over lam, so the d and sigma
-    blocks are orthogonal and each depends on its own curve alone; only
-    the AR/MA rows couple to d, and they are the one family-specific part.
-    Raises InfeasibleParameterError when theta leaves the formula's domain
-    (memory curve outside (0, 1/2), nonpositive scale, ARMA box violated)
-    and NotPositiveDefiniteError when Gamma is singular (see _check_fisher).
-    """
-    model = catalog_model(example_id, freqs)
+
+def _gamma_exact(model: ModelSpec, theta, provenance: str) -> GammaMatrix:
     values = theta_values(model, theta)
-    sl = model.slices()
-    mat = np.zeros((len(values), len(values)))
-    mat[sl["d"], sl["d"]] = _d_block(model.d, values[sl["d"]])
-    mat[sl["sigma"], sl["sigma"]] = _sigma_block(model.sigma, values[sl["sigma"]])
-    if example_id == "example5":
-        _, a2, a3 = values
-        if abs(a2) >= 1.0 or abs(a3) >= 1.0:
-            raise InfeasibleParameterError("ARMA slopes must lie in (-1, 1)")
-        mat[0, 1:] = mat[1:, 0] = -_j_int(a2), _j_int(a3)
-        mat[1:, 1:] = [[_i_int(a2 * a2), -_i_int(a2 * a3)],
-                       [-_i_int(a2 * a3), _i_int(a3 * a3)]]
-    elif example_id == "sec4":
-        (vt,) = values[sl["ma1"]]
-        if abs(vt) >= 1.0:
-            raise InfeasibleParameterError("MA coefficient must lie in (-1, 1)")
-        mat[:2, 4] = mat[4, :2] = _log_ratio(vt) * np.array([1.0, 0.5])
-        mat[4, 4] = 1.0 / (1.0 - vt * vt)
-    _check_fisher(mat, f"{example_id} Fisher matrix")
-    return GammaMatrix(matrix=mat, provenance=example_id,
-                       theta=values.copy(), names=model.param_names())
-
-
-def _moments(moment, p: int) -> np.ndarray:
-    """The p x p matrix [moment(i + j)]."""
-    return np.array([[moment(i + j) for j in range(p)] for i in range(p)])
-
-
-def _d_block(spec: CurveSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Memory block; d(u) must lie in (0, 1/2).
-
-    A polynomial d(u) is checked at its free ends, any other curve on the
-    VALIDATION_GRID points of [0, 1].  Identity link: (pi^2/6) Gram,
-    theta-free.  Log link (linear exponent): (pi^2/6) int u^{i+j}
-    exp(2 eta(u)) du.
-    """
-    if spec.basis.kind == "polynomial":
-        eta = [coeffs.sum()]  # at u = 1
-        if spec.basis.intercept:  # at u = 0; without one, d(0) = 0 is pinned
-            eta.append(coeffs[0])
-        for v in eta if spec.link == "identity" else map(np.exp, eta):
-            if not 0.0 < v < 0.5:
-                raise InfeasibleParameterError(
-                    f"memory curve endpoint {v:.6g} outside (0, 1/2)")
-    else:
-        d = eval_curve(spec, coeffs, np.linspace(0.0, 1.0, VALIDATION_GRID))
-        if not np.all((d > 0.0) & (d < 0.5)):
-            raise InfeasibleParameterError(
-                "d(u) leaves (0, 1/2) on the validation grid")
-    if spec.link == "identity":
-        return gamma_d_block(spec.basis)
-    a0, a1 = coeffs
-    block = _moments(lambda m: _poly_exp_moment(m, 2.0 * a1), 2)
-    return PI2_6 * np.exp(2.0 * a0) * block
-
-
-def _sigma_block(spec: CurveSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Scale block: 2 Gram under a log link; under the identity link
-    2 int u^{i+j} / sigma(u)^2 du for a constant or linear sigma."""
-    if spec.link == "log":
-        return 2.0 * gram_closed(spec.basis)
-    b0, b1 = coeffs if len(coeffs) == 2 else (coeffs[0], 0.0)
-    return 2.0 * _moments(lambda m: _poly_invsq_moment(m, b0, b1), len(coeffs))
+    tab = _exact_tables(model)
+    n_u = len(_U_RULE[0])
+    etas = tab.rows @ values
+    curves, at = etas[:-len(tab.lo)].reshape(n_u, -1), etas[-len(tab.lo):]
+    for rows in tab.check_log:
+        at[rows] = np.exp(at[rows])
+    inside = (at > tab.lo) & (at < tab.hi)
+    if not inside.all():
+        row = inside.argmin()
+        raise InfeasibleParameterError(
+            f"{tab.keys[row]}(u) = {at[row]:.6g} at a check point, outside "
+            f"({tab.lo[row]:g}, {tab.hi[row]:g})")
+    moments = tab.moments
+    if tab.log_curves:  # chain factor link' = c(u) on the log curves' columns
+        slope = np.ones((len(values), n_u))
+        for k, columns in tab.log_curves:
+            curves[:, k] = np.exp(curves[:, k])  # bounded by the check above
+            slope[columns] = curves[:, k]
+        moments = moments * (slope[:, None] * slope[None]).reshape(-1, n_u)
+    gram = np.zeros(curves.shape + curves.shape[1:])
+    gram[:, 0, 0] = PI2_6
+    # under a log link the chain factors sigma(u) cancel 2 / sigma^2, so
+    # G holds 2 and sigma's columns keep the bare design
+    gram[:, 1, 1] = 2.0 if tab.log_sigma else 2.0 / curves[:, 1] ** 2
+    if len(tab.signs):  # G's entries without their g * sign factors
+        a = curves[:, 2:] * tab.signs
+        if a.all():
+            ratio = np.log1p(a) / a
+        else:
+            zero = a == 0.0  # log(1 + a)/a -> 1 there
+            ratio = (np.log1p(a) + zero) / (a + zero)
+        gram[:, 0, 2:] = gram[:, 2:, 0] = ratio
+        gram[:, 2:, 2:] = 1.0 / (1.0 - a[:, :, None] * a[:, None, :])
+    # Gamma_ij = sum_u moments_ij(u) G(u)[curve i, curve j], symmetric as built
+    terms = gram.reshape(n_u, -1).T[tab.pairs] * moments
+    mat = terms.reshape(len(values), len(values), n_u).sum(axis=2)
+    _check_fisher(mat, f"{provenance} Fisher matrix")
+    return GammaMatrix(matrix=mat, provenance=provenance,
+                       theta=values.copy(), names=tab.names)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import asymptotic_se, gamma_closed, gamma_quadrature
+from .asymptotics import asymptotic_se, gamma_closed, gamma_exact
 from .errors import ConfigError, PlanError
 from .simulator import innovations_decompose, make_kernel, paths_from_state
 from .spectral import BlockPlan, make_plan, nearest_valid_plan, taper_weights
@@ -101,7 +101,7 @@ class MCConfig:
     seed: int
     workers: int = 1
     taper: str = "cosine"
-    family: str = ""  # catalog id for closed-form theoretical SDs
+    family: str = ""  # catalog id: theo_sd from gamma_closed, else gamma_exact
 
     def __post_init__(self):
         if self.reps < 1:
@@ -140,7 +140,7 @@ def run_mc(config: MCConfig) -> MCTable:
     if config.family:
         gamma = gamma_closed(config.family, theta0)
     else:
-        gamma = gamma_quadrature(model, theta0)
+        gamma = gamma_exact(model, theta0)
     theo = asymptotic_se(gamma, config.T).sd
     used = estimates[converged]
     if len(used):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lswhittle import (BasisSpec, InfeasibleParameterError, ModelSpec,
-                       NotPositiveDefiniteError, asymptotics)
+from lswhittle import (BasisSpec, CurveSpec, InfeasibleParameterError,
+                       ModelSpec, NotPositiveDefiniteError, asymptotics)
 
 from oracles import einsum_gamma, quad_gram
 
@@ -155,6 +155,109 @@ class TestClosedVersusQuadrature:
         assert closed.names is asymptotics.gamma_closed("sec4", theta).names
 
 
+def assert_exact_matches_quadrature(model, theta):
+    exact = asymptotics.gamma_exact(model, theta).matrix
+    quadr = asymptotics.gamma_quadrature(model, theta).matrix
+    np.testing.assert_allclose(exact, quadr, rtol=0.0,
+                               atol=1e-13 * np.abs(quadr).max())
+
+
+POLY1 = BasisSpec("polynomial", degree=1)
+CONST = BasisSpec("polynomial", degree=0)
+SLOPE = BasisSpec("polynomial", degree=1, intercept=False)
+
+# Models outside the catalog, each with two feasible theta.
+OUTSIDE_CATALOG = {
+    "quadratic-d": (
+        ModelSpec(d=CurveSpec(BasisSpec("polynomial", degree=2)),
+                  sigma=CurveSpec(POLY1)),
+        [(0.1, 0.5, -0.4, 0.8, 0.2), (0.3, -0.3, 0.2, 1.2, -0.5)]),
+    "log-sigma-slope": (
+        ModelSpec(d=CurveSpec(POLY1), sigma=CurveSpec(POLY1, link="log")),
+        [(0.2, 0.1, -0.3, 0.8), (0.4, -0.3, 0.5, -1.5)]),
+    "ar-slope-ma-const": (
+        ModelSpec(d=CurveSpec(POLY1), sigma=CurveSpec(CONST),
+                  ar=(CurveSpec(SLOPE),), ma=(CurveSpec(CONST, sign=-1),)),
+        [(0.15, 0.2, 0.7, 0.6, 0.4), (0.3, -0.1, 1.3, -0.9, -0.8)]),
+    "harmonic-d-ar": (
+        ModelSpec(d=CurveSpec(BasisSpec("harmonic", freqs=(1.0, 2.0))),
+                  sigma=CurveSpec(CONST), ar=(CurveSpec(CONST, sign=-1),)),
+        [(0.25, 0.05, -0.04, 0.8, 0.6), (0.3, -0.08, 0.02, 1.5, -0.9)]),
+    "log-ma-slope": (
+        ModelSpec(d=CurveSpec(POLY1), sigma=CurveSpec(POLY1),
+                  ma=(CurveSpec(POLY1, link="log", sign=-1),)),
+        [(0.2, 0.1, 0.5, 0.3, -1.0, 0.8), (0.1, 0.3, 1.0, -0.5, -0.2, -2.0)]),
+}
+
+
+class TestExactVersusQuadrature:
+    """gamma_exact (closed-form lam integrals) against the quadrature."""
+
+    @pytest.mark.parametrize("family", asymptotics.CATALOG_IDS)
+    def test_catalog_families(self, family):
+        rng = np.random.default_rng(100 + asymptotics.CATALOG_IDS.index(family))
+        model = asymptotics.catalog_model(family)
+        for _ in range(20):
+            assert_exact_matches_quadrature(model, sample_theta(family, rng))
+
+    @pytest.mark.parametrize("example_id,theta", NEAR_UNIT_ROOT)
+    def test_near_unit_root(self, example_id, theta):
+        assert_exact_matches_quadrature(asymptotics.catalog_model(example_id),
+                                        theta)
+
+    @pytest.mark.parametrize("name", sorted(OUTSIDE_CATALOG))
+    def test_models_outside_catalog(self, name):
+        model, thetas = OUTSIDE_CATALOG[name]
+        for theta in thetas:
+            assert_exact_matches_quadrature(model, theta)
+
+    # slopes just above 1e-3, where a closed form in u that switches from
+    # a series to log(1 + a) expressions loses digits to cancellation
+    @pytest.mark.parametrize("theta", [(0.3, 0.0012, -0.5), (0.3, 0.4, 0.0015),
+                                       (0.3, -0.0011, 0.002)])
+    def test_example5_closed_matches_quadrature(self, theta):
+        closed = asymptotics.gamma_closed("example5", theta).matrix
+        quadr = asymptotics.gamma_quadrature(
+            asymptotics.catalog_model("example5"), theta).matrix
+        np.testing.assert_allclose(closed, quadr, rtol=0.0,
+                                   atol=1e-13 * np.abs(quadr).max())
+
+    def test_closed_is_exact_on_catalog_model(self):
+        theta = (0.15, 0.20, 0.5, 0.3, 0.5)
+        model = asymptotics.catalog_model("sec4")
+        exact = asymptotics.gamma_exact(model, theta)
+        closed = asymptotics.gamma_closed("sec4", theta)
+        np.testing.assert_array_equal(exact.matrix, closed.matrix)
+        assert (exact.provenance, closed.provenance) == ("exact", "sec4")
+        assert exact.names is closed.names
+
+    def test_curve_beyond_degree_one_checked_on_grid(self):
+        # d(u) = 0.3 + 0.8 u - 0.8 u^2 is 0.3 at both ends but 0.5 at u = 1/2
+        model = OUTSIDE_CATALOG["quadratic-d"][0]
+        with pytest.raises(InfeasibleParameterError):
+            asymptotics.gamma_exact(model, (0.3, 0.8, -0.8, 0.8, 0.2))
+
+    def test_log_link_scale_block_is_free_of_scale(self):
+        # sigma = exp(500 + 0.1 u) overflows when squared, but its score
+        # 2 (1, u) does not depend on sigma
+        for b0 in (0.2, 500.0, -500.0):
+            mat = asymptotics.gamma_closed("example3", (-2.0, 0.5, b0, 0.1)).matrix
+            np.testing.assert_allclose(mat[2:, 2:], [[2.0, 1.0], [1.0, 2.0 / 3.0]],
+                                       rtol=1e-15)
+
+    def test_refuses_scale_that_changes_sign(self):
+        # sigma(u) = 0.5 - 0.6 u ends at -0.1
+        with pytest.raises(InfeasibleParameterError):
+            asymptotics.gamma_closed("example2", (0.15, 0.2, 0.5, -0.6))
+
+    def test_refuses_factor_outside_unit_box(self):
+        model = OUTSIDE_CATALOG["ar-slope-ma-const"][0]
+        with pytest.raises(InfeasibleParameterError):
+            asymptotics.gamma_exact(model, (0.15, 0.2, 0.7, 1.0, 0.4))
+        with pytest.raises(InfeasibleParameterError):
+            asymptotics.gamma_exact(model, (0.15, 0.2, 0.7, 0.6, -1.0))
+
+
 class TestClosedFormEntries:
     def test_polynomial_memory_block(self):
         # (pi^2/6) * Hilbert moment matrix for identity links.
@@ -219,48 +322,6 @@ class TestClosedFormEntries:
                 want = PI2_6 * quad_gram(basis, i, j)
                 assert mat[i, j] == pytest.approx(want, rel=1e-10)
         assert mat[3, 3] == pytest.approx(2.0 / 0.8 ** 2, rel=1e-15)
-
-
-class TestHelperIntegrals:
-    def test_exp_moment_matches_quadrature(self):
-        for c in (-2.0, -0.011, -0.009, 0.0, 0.009, 0.011, 3.0):
-            for m in range(3):
-                want, _ = quad(lambda u: u ** m * np.exp(c * u), 0.0, 1.0)
-                got = asymptotics._poly_exp_moment(m, c)
-                assert got == pytest.approx(want, rel=1e-11), (m, c)
-
-    def test_invsq_moment_matches_quadrature(self):
-        for a, b in ((0.5, 0.3), (1.0, -0.009), (1.0, 0.011), (2.0, -1.5)):
-            for m in range(3):
-                want, _ = quad(lambda u: u ** m / (a + b * u) ** 2, 0.0, 1.0)
-                got = asymptotics._poly_invsq_moment(m, a, b)
-                assert got == pytest.approx(want, rel=1e-10), (m, a, b)
-
-    def test_invsq_moment_rejects_sign_change(self):
-        with pytest.raises(InfeasibleParameterError):
-            asymptotics._poly_invsq_moment(0, 0.5, -0.6)
-
-    def test_arma_moment_matches_quadrature(self):
-        for x in (-0.5, -0.0011, -0.0009, 0.0009, 0.0011, 0.5, 0.99):
-            want, _ = quad(lambda u: u * u / (1.0 - x * u * u), 0.0, 1.0)
-            assert asymptotics._i_int(x) == pytest.approx(want, rel=1e-10), x
-
-    def test_cross_moment_series_guard_continuous(self):
-        # Series branch (|a| < 1e-3) and closed form meet smoothly.
-        for a in (9e-4, -9e-4):
-            k = np.arange(9)
-            series = float(np.sum((-a) ** k / ((k + 1) * (k + 3))))
-            assert asymptotics._j_int(a) == pytest.approx(series, rel=1e-12)
-        step = asymptotics._j_int(1.001e-3) - asymptotics._j_int(0.999e-3)
-        assert abs(step) < 1e-6
-
-    def test_log_ratio_series_guard_continuous(self):
-        # the function's slope at 0 is -1/2, so the true change over the
-        # 2e-11-wide straddle is ~1e-11; anything near that is continuous
-        lo = asymptotics._log_ratio(0.999e-8)
-        hi = asymptotics._log_ratio(1.001e-8)
-        assert abs(hi - lo) < 1e-10
-        assert asymptotics._log_ratio(0.0) == pytest.approx(-1.0)
 
 
 class TestDomainRejections:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lswhittle import (BasisSpec, ConfigError, CurveSpec, ModelSpec,
-                       PlanError, mcharness, simulator, spectral, whittle)
+                       PlanError, asymptotics, mcharness, simulator, spectral,
+                       whittle)
 
 POLY0 = BasisSpec("polynomial", 0)
 POLY1 = BasisSpec("polynomial", 1)
@@ -122,8 +123,11 @@ class TestRunMC:
         kwargs = dict(model=model, theta=THETA_MA, T=256, plan=plan, reps=1,
                       seed=31)
         closed = mcharness.run_mc(mcharness.MCConfig(family="sec4", **kwargs))
-        quadr = mcharness.run_mc(mcharness.MCConfig(**kwargs))
-        np.testing.assert_allclose(closed.theo_sd, quadr.theo_sd, rtol=1e-8)
+        exact = mcharness.run_mc(mcharness.MCConfig(**kwargs))
+        quadr = asymptotics.asymptotic_se(
+            asymptotics.gamma_quadrature(model, THETA_MA), 256).sd
+        np.testing.assert_allclose(closed.theo_sd, quadr, rtol=1e-8)
+        np.testing.assert_allclose(exact.theo_sd, quadr, rtol=1e-8)
 
     def test_worker_count_does_not_change_results(self):
         model = ma_model()
