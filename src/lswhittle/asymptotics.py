@@ -21,26 +21,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import InfeasibleParameterError, NotPositiveDefiniteError
-from .tvmodel import (VALIDATION_GRID, BasisSpec, CurveSpec, ModelSpec,
-                      curve_values, log_spectral_gradient_grid, slot_table,
-                      theta_values)
+from .errors import NotPositiveDefiniteError
+from .tvmodel import (U_RULE, BasisSpec, CurveSpec, ModelSpec,
+                      gauss_legendre, log_spectral_gradient_grid, read_only,
+                      require_feasible, slot_table, theta_values)
 
 PI2_6 = np.pi ** 2 / 6.0
 SPD_FLOOR = 1e-12   # smallest over largest eigenvalue of an accepted Gamma
 _U_BLOCK = 16       # u nodes per score block in gamma_quadrature
-
-
-def _gauss_legendre(n: int, lo, hi):
-    """n-point Gauss-Legendre nodes and weights on each panel [lo_k, hi_k]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
-
-
-def _read_only(nodes, weights):
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 def _lambda_rule():
@@ -52,11 +40,10 @@ def _lambda_rule():
     coefficient nears +-1.
     """
     edges = np.append(np.pi / 2.0 ** np.arange(1, 50), 0.0)
-    x, w = _gauss_legendre(12, edges[1:], edges[:-1])
-    return _read_only(np.concatenate([x, np.pi - x]), np.concatenate([w, w]))
+    x, w = gauss_legendre(12, edges[1:], edges[:-1])
+    return read_only(np.concatenate([x, np.pi - x]), np.concatenate([w, w]))
 
 
-_U_RULE = _read_only(*_gauss_legendre(64, np.zeros(1), np.ones(1)))
 _LAMBDA_RULE = _lambda_rule()
 
 
@@ -97,22 +84,14 @@ def _check_fisher(mat: np.ndarray, what: str) -> None:
 def gamma_quadrature(model: ModelSpec, theta) -> GammaMatrix:
     """Fisher matrix by tensor quadrature over u in (0,1), lam in (0,pi).
 
-    Feasibility is checked at the interior u-nodes only (a curve may touch
-    the constraint boundary at an endpoint of [0,1] and still give a
-    finite integral).  The score is built _U_BLOCK u nodes at a time,
-    scaled by the square roots of the weights and contracted by one Gram
-    product per block, so only one block of the grid is held at once.
+    Refuses an infeasible theta as require_feasible does.  The score is
+    built _U_BLOCK u nodes at a time, scaled by the square roots of the
+    weights and contracted by one Gram product per block, so only one
+    block of the grid is held at once.
     """
     values = theta_values(model, theta)
-    xu, wu = _U_RULE
-    vals = curve_values(model, values, xu)
-    if np.any(vals["d"] <= 0.0) or np.any(vals["d"] >= 0.5):
-        raise InfeasibleParameterError("d(u) leaves (0, 1/2) on the quadrature mesh")
-    if np.any(vals["sigma"] <= 0.0):
-        raise InfeasibleParameterError("sigma(u) is not strictly positive")
-    for key in vals:
-        if key.startswith(("ar", "ma")) and np.any(np.abs(vals[key]) >= 1.0):
-            raise InfeasibleParameterError(f"|{key}(u)| reaches 1 on the mesh")
+    require_feasible(model, values)
+    xu, wu = U_RULE
     xl, wl = _LAMBDA_RULE
     # factor 2: the integrand is even in lam, so (0, pi) is doubled
     root_wl = np.sqrt(2.0 * wl)
@@ -155,9 +134,6 @@ def gamma_quadrature(model: ModelSpec, theta) -> GammaMatrix:
 # ---------------------------------------------------------------------------
 
 CATALOG_IDS = ("example2", "example3", "harmonic", "example5", "sec4")
-# Open bounds of each curve's domain; AR/MA curves lie in (-1, 1).
-_DOMAIN = {"d": (0.0, 0.5), "sigma": (0.0, np.inf)}
-_VALIDATION_U = np.linspace(0.0, 1.0, VALIDATION_GRID)
 
 
 def catalog_model(example_id: str, freqs=(1.0, 2.0)) -> ModelSpec:
@@ -192,25 +168,14 @@ def _catalog_model(example_id: str, freqs: tuple) -> ModelSpec:
     raise ValueError(f"unknown catalog id {example_id!r}")
 
 
-def _domain_points(basis: BasisSpec) -> np.ndarray:
-    """Where a curve's domain is checked: the ends of a polynomial of
-    degree <= 1 (monotone, so they decide), else the VALIDATION_GRID
-    points; u = 0 is left out where a polynomial without intercept pins
-    the curve (example5's d(0) = 0)."""
-    if basis.kind != "polynomial":
-        return _VALIDATION_U
-    u = _VALIDATION_U[[0, -1]] if basis.degree <= 1 else _VALIDATION_U
-    return u if basis.intercept else u[1:]
-
-
 class _ExactTables(NamedTuple):
     """What gamma_exact needs of a model that theta does not change.
 
     rows @ theta gives every eta: each curve's design in its packed
-    columns on the u rule (n_u * n_curves rows), then at its domain points.
-    moments (p * p, n_u) holds w_u s_i s_j g_i(u) g_j(u) for columns i, j,
-    with s = g * sign on AR/MA columns and 1 elsewhere; pairs gives the
-    flat index of (curve i, curve j) in G.
+    columns on the u rule (n_u * n_curves rows).  moments (p * p, n_u)
+    holds w_u s_i s_j g_i(u) g_j(u) for columns i, j, with s = g * sign on
+    AR/MA columns and 1 elsewhere; pairs gives the flat index of
+    (curve i, curve j) in G.
     """
 
     rows: np.ndarray
@@ -219,55 +184,41 @@ class _ExactTables(NamedTuple):
     log_curves: tuple    # (curve, its columns) of log-link d and AR/MA curves
     log_sigma: bool
     signs: np.ndarray    # sign of each AR/MA curve (curves 2, 3, ...)
-    check_log: tuple     # domain points of the log-link curves
-    lo: np.ndarray       # open domain bounds at each domain point
-    hi: np.ndarray
-    keys: tuple          # the curve of each domain point
     names: tuple         # model.param_names()
 
 
 @functools.lru_cache(maxsize=64)
 def _exact_tables(model: ModelSpec) -> _ExactTables:
-    xu, wu = _U_RULE
+    xu, wu = U_RULE
     table = slot_table(model, xu)
     rows = np.zeros((len(xu), len(table), model.n_params))
     design = np.empty((len(xu), model.n_params))
     curve = np.empty(model.n_params, dtype=int)
-    checks, keys, bounds, check_log, log_curves = [], [], [], [], []
+    log_curves = []
     for k, slot in enumerate(table):
         rows[:, k, slot.index] = design[:, slot.index] = slot.design
         curve[slot.index] = k
-        points = _domain_points(slot.spec.basis)
-        block = np.zeros((len(points), model.n_params))
-        block[:, slot.index] = slot.spec.basis.design_matrix(points)
-        if slot.spec.link == "log":
-            check_log.append(slice(len(keys), len(keys) + len(points)))
-            if slot.key != "sigma":
-                log_curves.append((k, slot.index))
-        checks.append(block)
-        keys += [slot.key] * len(points)
-        bounds += [_DOMAIN.get(slot.key, (-1.0, 1.0))] * len(points)
+        if slot.spec.link == "log" and slot.key != "sigma":
+            log_curves.append((k, slot.index))
     signs = np.array([s.spec.sign for s in table[2:]], dtype=float)
     g = [1.0 if s.key.startswith("ma") else -1.0 for s in table[2:]]
     design *= np.concatenate([[1.0, 1.0], g * signs])[curve]
-    lo, hi = np.array(bounds).T
     return _ExactTables(
-        rows=np.concatenate([rows.reshape(-1, model.n_params)] + checks),
+        rows=rows.reshape(-1, model.n_params),
         moments=(wu * (design.T[:, None, :] * design.T[None, :, :])
                  ).reshape(-1, len(xu)),
         pairs=(curve[:, None] * len(table) + curve).ravel(),
         log_curves=tuple(log_curves), log_sigma=model.sigma.link == "log",
-        signs=signs, check_log=tuple(check_log), lo=lo, hi=hi,
-        keys=tuple(keys), names=model.param_names())
+        signs=signs, names=model.param_names())
 
 
 def gamma_exact(model: ModelSpec, theta) -> GammaMatrix:
     """Fisher matrix with the lam integrals in closed form (table above)
     and the u integral on the 64-node rule: sum_u w_u J(u)' G(u) J(u).
 
-    Raises InfeasibleParameterError when a curve leaves its domain, d in
-    (0, 1/2), sigma > 0, |AR/MA| < 1, at its check points (_domain_points),
-    and NotPositiveDefiniteError when Gamma is singular (_check_fisher).
+    Raises InfeasibleParameterError for an infeasible theta, as
+    require_feasible does, and NotPositiveDefiniteError when Gamma is
+    singular (_check_fisher).
     """
     return _gamma_exact(model, theta, "exact")
 
@@ -279,23 +230,15 @@ def gamma_closed(example_id: str, theta, freqs=(1.0, 2.0)) -> GammaMatrix:
 
 def _gamma_exact(model: ModelSpec, theta, provenance: str) -> GammaMatrix:
     values = theta_values(model, theta)
+    require_feasible(model, values)
     tab = _exact_tables(model)
-    n_u = len(_U_RULE[0])
-    etas = tab.rows @ values
-    curves, at = etas[:-len(tab.lo)].reshape(n_u, -1), etas[-len(tab.lo):]
-    for rows in tab.check_log:
-        at[rows] = np.exp(at[rows])
-    inside = (at > tab.lo) & (at < tab.hi)
-    if not inside.all():
-        row = inside.argmin()
-        raise InfeasibleParameterError(
-            f"{tab.keys[row]}(u) = {at[row]:.6g} at a check point, outside "
-            f"({tab.lo[row]:g}, {tab.hi[row]:g})")
+    n_u = len(U_RULE[0])
+    curves = (tab.rows @ values).reshape(n_u, -1)
     moments = tab.moments
     if tab.log_curves:  # chain factor link' = c(u) on the log curves' columns
         slope = np.ones((len(values), n_u))
         for k, columns in tab.log_curves:
-            curves[:, k] = np.exp(curves[:, k])  # bounded by the check above
+            curves[:, k] = np.exp(curves[:, k])  # bounded: theta is feasible
             slope[columns] = curves[:, k]
         moments = moments * (slope[:, None] * slope[None]).reshape(-1, n_u)
     gram = np.zeros(curves.shape + curves.shape[1:])
@@ -359,7 +302,7 @@ def gram_closed(basis: BasisSpec) -> np.ndarray:
 
 def gram_quadrature(basis: BasisSpec) -> np.ndarray:
     """Gram matrix by 64-node Gauss-Legendre quadrature (independent route)."""
-    x, w = _U_RULE
+    x, w = U_RULE
     design = basis.design_matrix(x)
     return design.T @ (design * w[:, None])
 

@@ -149,7 +149,7 @@ def cmd_estimate(args) -> int:
         spectral.write_periodogram_csv(pg, args.dump_periodogram)
     fit = whittle.estimate(data, model, plan, taper)
     try:
-        gamma = asymptotics.gamma_quadrature(model, fit.theta)
+        gamma = asymptotics.gamma_exact(model, fit.theta)
         sd = asymptotics.asymptotic_se(gamma, t).sd
     except (InfeasibleParameterError, NotPositiveDefiniteError) as exc:
         print(f"note: asymptotic SDs unavailable ({exc})", file=sys.stderr)
@@ -227,18 +227,15 @@ def cmd_gamma(args) -> int:
         theta = params.values
     else:
         raise ConfigError("gamma needs --theta (or a config with coefficients)")
+    if args.example:
+        model = asymptotics.catalog_model(args.example)
 
     results = []
-    if args.example:
-        if method in ("closed", "both"):
-            results.append(asymptotics.gamma_closed(args.example, theta))
-        if method in ("quadrature", "both"):
-            model = asymptotics.catalog_model(args.example)
-            results.append(asymptotics.gamma_quadrature(model, theta))
-    else:
-        if method != "quadrature":
-            raise ConfigError("closed form needs --example")
-        results.append(asymptotics.gamma_quadrature(model, np.asarray(theta)))
+    if method in ("closed", "both"):
+        results.append(asymptotics.gamma_closed(args.example, theta)
+                       if args.example else asymptotics.gamma_exact(model, theta))
+    if method in ("quadrature", "both"):
+        results.append(asymptotics.gamma_quadrature(model, theta))
 
     for gamma in results:
         _print_gamma(gamma, gamma.provenance)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import asymptotic_se, gamma_closed, gamma_exact
+from .asymptotics import (asymptotic_se, catalog_model, gamma_closed,
+                          gamma_exact)
 from .errors import ConfigError, PlanError
 from .simulator import innovations_decompose, make_kernel, paths_from_state
 from .spectral import BlockPlan, make_plan, nearest_valid_plan, taper_weights
@@ -108,6 +109,9 @@ class MCConfig:
             raise ValueError("need at least one replication")
         if self.plan.T != self.T:
             raise PlanError(f"plan is for T={self.plan.T}, config says T={self.T}")
+        if self.family and catalog_model(self.family) != self.model:
+            raise ConfigError(f"the model is not the {self.family!r} catalog "
+                              "model, so its Fisher matrix does not apply")
 
 
 @dataclass(frozen=True)

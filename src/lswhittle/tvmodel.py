@@ -32,15 +32,35 @@ import numpy as np
 
 from .errors import InfeasibleParameterError
 
-# Feasibility box for curve values.  The memory parameter must stay in a
-# strict interior of (0, 1/2) so the spectral pole at lam = 0 remains
-# integrable and Gamma-function arguments in the covariance stay positive.
+# The closed box of every curve's values, by curve kind.  The memory
+# parameter stays inside (0, 1/2), so the spectral pole at lam = 0 remains
+# integrable and the Gamma-function arguments of the covariance stay
+# positive; sigma stays positive; an AR/MA coefficient keeps its
+# lag-polynomial root outside the unit circle.
 D_LOW = 1e-3
 D_HIGH = 0.499
 SIGMA_LOW = 1e-8
 ARMA_BOUND = 1.0 - 1e-6
+_BOUNDS = {"d": (D_LOW, D_HIGH), "sigma": (SIGMA_LOW, np.inf),
+           "ar": (-ARMA_BOUND, ARMA_BOUND), "ma": (-ARMA_BOUND, ARMA_BOUND)}
 VALIDATION_GRID = 101
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+def gauss_legendre(n: int, lo, hi):
+    """n-point Gauss-Legendre nodes and weights on each panel [lo_k, hi_k]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def read_only(nodes, weights):
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+# The u rule of every Fisher integral; the feasible set checks its nodes.
+U_RULE = read_only(*gauss_legendre(64, np.zeros(1), np.ones(1)))
 
 
 @dataclass(frozen=True)
@@ -278,6 +298,49 @@ def curve_values(model: ModelSpec, theta, u):
     return slot_values(slot_table(model, u), theta_values(model, theta))
 
 
+def curve_bounds(key: str) -> tuple:
+    """The closed box (lo, hi) of the values of the curve in slot ``key``."""
+    return _BOUNDS[key.rstrip("0123456789")]
+
+
+@functools.lru_cache(maxsize=64)
+def _constraint_rows(model: ModelSpec) -> tuple:
+    """The feasible set of a model, lo <= A @ theta <= hi, as the tuple
+    (A, lo, hi, keys, points): each row of A is one curve's design in link
+    space at one check point, keys its curve and points its u.  The check
+    points are the two ends of a polynomial of degree <= 1 (monotone, so
+    they decide), else the VALIDATION_GRID points and the U_RULE nodes,
+    where the Fisher routes evaluate the curve.
+
+    A log link maps the bounds through log; exp(eta) > 0, so sigma's floor
+    and the lower AR/MA bound give no row there.  A pinned row (all-zero
+    design: no coefficient moves the curve) is dropped under the identity
+    link, where the curve rests at 0 (example5's d(0) = 0), and kept under
+    the log link, where exp(0) = 1 is outside every d and AR/MA box.
+    """
+    grid = np.linspace(0.0, 1.0, VALIDATION_GRID)
+    rows, bounds, keys, points = [], [], [], []
+    for (key, spec), index in zip(model.curves(), model.slices().values()):
+        u = grid[[0, -1]] if spec.basis.kind == "polynomial" \
+            and spec.basis.degree <= 1 else np.union1d(grid, U_RULE[0])
+        design = spec.basis.design_matrix(u)
+        low, high = curve_bounds(key)
+        if spec.link == "log":
+            low = np.log(low) if key == "d" else -np.inf
+            high = np.log(high)
+        if low == -np.inf and high == np.inf:
+            continue
+        keep = design.any(axis=1) | (spec.link == "log")
+        block = np.zeros((keep.sum(), model.n_params))
+        block[:, index] = design[keep]
+        rows.append(block)
+        bounds.append(np.full((len(block), 2), (low, high)))
+        keys += [key] * len(block)
+        points.append(u[keep])
+    lo, hi = np.concatenate(bounds).T
+    return np.concatenate(rows), lo, hi, tuple(keys), np.concatenate(points)
+
+
 @dataclass(frozen=True)
 class ConstraintReport:
     """Outcome of feasibility validation; feasible iff violations is empty."""
@@ -287,27 +350,20 @@ class ConstraintReport:
 
 
 def validate_params(model: ModelSpec, theta) -> ConstraintReport:
-    """Check the curve constraints on a uniform u-grid of VALIDATION_GRID points.
+    """Check theta against the model's feasible set (_constraint_rows).
 
-    Constraints: d(u) in (D_LOW, D_HIGH); sigma(u) > 0; every AR/MA
-    coefficient curve satisfies |c(u)| < ARMA_BOUND so the lag-polynomial
-    root stays outside the unit circle.  Violations are reported as tuples
-    (component, u, value, bound).
+    Each curve must lie in its closed box at its check points: d(u) in
+    [D_LOW, D_HIGH], an identity-link sigma(u) >= SIGMA_LOW, and every
+    AR/MA coefficient curve |c(u)| <= ARMA_BOUND.  Violations are reported
+    as tuples (component, u, value, bound) in curve values.
     """
-    u = np.linspace(0.0, 1.0, VALIDATION_GRID)
-    vals = curve_values(model, theta, u)
+    A, lo, hi, keys, points = _constraint_rows(model)
+    eta = A @ theta_values(model, theta)
     violations = []
-
-    def flag(component, mask, bound):
-        for idx in np.nonzero(mask)[0]:
-            violations.append((component, float(u[idx]), float(vals[component][idx]), bound))
-
-    flag("d", vals["d"] <= D_LOW, D_LOW)
-    flag("d", vals["d"] >= D_HIGH, D_HIGH)
-    flag("sigma", vals["sigma"] <= 0.0, 0.0)
-    for key in vals:
-        if key.startswith(("ar", "ma")):
-            flag(key, np.abs(vals[key]) >= ARMA_BOUND, ARMA_BOUND)
+    for i in np.flatnonzero(~((eta >= lo) & (eta <= hi))):
+        linkinv = LINKS[dict(model.curves())[keys[i]].link][0]
+        violations.append((keys[i], float(points[i]), float(linkinv(eta[i])),
+                           curve_bounds(keys[i])[int(eta[i] > hi[i])]))
     return ConstraintReport(feasible=not violations, violations=tuple(violations))
 
 
@@ -318,7 +374,7 @@ def require_feasible(model: ModelSpec, theta) -> None:
         comp, uu, val, bound = report.violations[0]
         raise InfeasibleParameterError(
             f"curve {comp!r} hits {val:.6g} at u={uu:.4g} (bound {bound:.6g}); "
-            f"{len(report.violations)} grid violations in total"
+            f"{len(report.violations)} violations at check points in total"
         )
 
 

@@ -25,9 +25,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .spectral import BlockPlan, LocalPeriodogram, Taper, local_periodogram
-from .tvmodel import (ARMA_BOUND, D_HIGH, D_LOW, SIGMA_LOW, ModelSpec,
-                      ParamVector, frequencies, log_density, slot_table,
-                      slot_values, theta_values, validate_params)
+from .tvmodel import (ModelSpec, ParamVector, curve_bounds, frequencies,
+                      log_density, slot_table, slot_values, theta_values,
+                      validate_params)
 
 PENALTY_SCALE = 1e3
 
@@ -51,8 +51,7 @@ class WhittleObjective:
             w[-1] = 2.0 * np.pi / plan.N  # Nyquist is its own mirror image
         self._w = w
         self._slots = slot_table(model, plan.u)
-        self._bounds = [(D_LOW, D_HIGH), (SIGMA_LOW, np.inf)] + \
-            [(-ARMA_BOUND, ARMA_BOUND)] * (len(self._slots) - 2)
+        self._bounds = [curve_bounds(slot.key) for slot in self._slots]
         self._norm = 1.0 / (4.0 * np.pi * plan.M)
 
     def __call__(self, theta) -> float:

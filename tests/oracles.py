@@ -111,7 +111,7 @@ def einsum_gamma(model, theta):
     reduced by one einsum over the package's u rule and lam mesh; this is
     the reference for the blockwise Gram products of gamma_quadrature.
     """
-    xu, wu = asymptotics._U_RULE
+    xu, wu = asymptotics.U_RULE
     xl, wl = asymptotics.lambda_mesh()
     grad = log_spectral_gradient_grid(model, theta, xu, xl)
     gamma = np.einsum("a,b,iab,jab->ij", wu, 2.0 * wl, grad, grad) / (4.0 * np.pi)

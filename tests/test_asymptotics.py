@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from lswhittle import (BasisSpec, CurveSpec, InfeasibleParameterError,
-                       ModelSpec, NotPositiveDefiniteError, asymptotics)
+                       ModelSpec, NotPositiveDefiniteError, asymptotics,
+                       validate_params)
+from lswhittle.tvmodel import ARMA_BOUND, D_HIGH, D_LOW
 
 from oracles import einsum_gamma, quad_gram
 
@@ -94,7 +96,7 @@ class TestBlockContraction:
         model = asymptotics.catalog_model("sec4")
         theta = FEASIBLE_POINTS["sec4"][0]
         asymptotics.gamma_quadrature(model, theta)
-        n_u, n_lam = len(asymptotics._U_RULE[0]), len(asymptotics.lambda_mesh()[0])
+        n_u, n_lam = len(asymptotics.U_RULE[0]), len(asymptotics.lambda_mesh()[0])
         tracemalloc.start()
         try:
             asymptotics.gamma_quadrature(model, theta)
@@ -379,6 +381,26 @@ class TestDomainRejections:
             eig = np.linalg.eigvalsh(mat)
             assert 1e-10 < eig[0] / eig[-1] < 1e-8
 
+    def test_gamma_refuses_d_between_box_and_domain(self):
+        # d in (D_HIGH, 1/2) or (0, D_LOW) is inside the spectral domain but
+        # outside the one feasible box, which every route reads
+        model = asymptotics.catalog_model("example2")
+        for theta in ((0.2, 0.2995, 0.5, 0.3), (0.0005, 0.2, 0.5, 0.3)):
+            for route in (asymptotics.gamma_exact,
+                          asymptotics.gamma_quadrature):
+                with pytest.raises(InfeasibleParameterError):
+                    route(model, theta)
+
+    def test_gamma_refuses_curve_outside_box_at_its_nodes(self):
+        # d(u) = 0.1 + 0.3 cos(200 pi u) is 0.4 on the validation grid but
+        # below 0 at nodes of the u rule, where both routes evaluate it
+        model = ModelSpec(
+            d=CurveSpec(BasisSpec("harmonic", freqs=(200.0 * np.pi,))),
+            sigma=CurveSpec(BasisSpec("polynomial")))
+        for route in (asymptotics.gamma_exact, asymptotics.gamma_quadrature):
+            with pytest.raises(InfeasibleParameterError):
+                route(model, (0.1, 0.3, 1.0))
+
     def test_unknown_catalog_id(self):
         with pytest.raises(ValueError):
             asymptotics.catalog_model("example9")
@@ -485,3 +507,64 @@ class TestCsvOutputs:
         name, sd = lines[-1].split(",")
         assert name == report.names[-1]
         assert float(sd) == report.sd[-1]
+
+
+def pushed_to(model, theta, key, value):
+    """theta with curve ``key`` moved, by its first coefficient, until its
+    value nearest to ``value`` on a 101-point grid equals it.  With an
+    intercept the move is a shift, so that value is the curve's extreme."""
+    spec, index = dict(model.curves())[key], model.slices()[key]
+    design = spec.basis.design_matrix(np.linspace(0.0, 1.0, 101))
+    design = design[design[:, 0] != 0.0]
+    eta = design @ theta[index]
+    target = np.log(value) if spec.link == "log" else value
+    i = np.argmin(np.abs(eta - target))
+    theta = theta.copy()
+    theta[index.start] += (target - eta[i]) / design[i, 0]
+    return theta
+
+
+def gamma_refusal(route, model, theta) -> bool:
+    try:
+        route(model, theta)
+    except InfeasibleParameterError:
+        return True
+    except NotPositiveDefiniteError:
+        pass
+    return False
+
+
+ALL_MODELS = (
+    [pytest.param(asymptotics.catalog_model(f), FEASIBLE_POINTS[f][0], id=f)
+     for f in asymptotics.CATALOG_IDS]
+    + [pytest.param(model, thetas[0], id=name)
+       for name, (model, thetas) in sorted(OUTSIDE_CATALOG.items())])
+
+
+@pytest.mark.parametrize("model,centre", ALL_MODELS)
+def test_one_feasible_set(model, centre):
+    # validate_params, gamma_exact and gamma_quadrature accept the same theta
+    rng = np.random.default_rng(len(centre))
+    centre = np.asarray(centre, dtype=float)
+    arma = [key for key, _ in model.curves()[2:]]
+    verdicts = []
+    for k in range(40):
+        theta = centre + rng.normal(0.0, 0.1, len(centre)) * np.maximum(
+            np.abs(centre), 0.5)
+        if k % 4 == 1:
+            theta = pushed_to(model, theta, "d", rng.uniform(D_HIGH, 0.5))
+        elif k % 4 == 2:
+            theta = pushed_to(model, theta, "d", rng.uniform(0.0, D_LOW))
+        elif k % 4 == 3 and arma:
+            key = arma[0]
+            sign = 1.0 if dict(model.curves())[key].link == "log" \
+                else rng.choice((-1.0, 1.0))
+            theta = pushed_to(model, theta, key,
+                              sign * rng.uniform(ARMA_BOUND, 1.0))
+        infeasible = not validate_params(model, theta).feasible
+        assert gamma_refusal(asymptotics.gamma_exact, model, theta) \
+            == infeasible, theta
+        assert gamma_refusal(asymptotics.gamma_quadrature, model, theta) \
+            == infeasible, theta
+        verdicts.append(infeasible)
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lswhittle
-from lswhittle import asymptotics, simulator
+from lswhittle import asymptotics, mcharness, simulator, whittle
 from lswhittle.cli import _workers, main
 
 BASE_CFG = """\
@@ -92,6 +92,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "y.csv")]) == 3
 
+    def test_pinned_log_link_curve_exit_3(self, tmp_path):
+        # d(u) = exp(-2u) is pinned at exp(0) = 1 at u = 0, above D_HIGH
+        cfg = tmp_path / "pinned.cfg"
+        cfg.write_text("d.link = log\nd.intercept = false\nd.coeffs = -2\n"
+                       "sigma.coeffs = 1.0\nmc.T = 16\nmc.seed = 1\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "y.csv")]) == 3
+
     # each run-setting flag, with a value that keeps BASE_CFG's plan valid
     @pytest.mark.parametrize("flag, key, value", [
         ("t", "mc.T", "176"), ("seed", "mc.seed", "9"), ("reps", "mc.reps", "1"),
@@ -122,6 +130,27 @@ class TestEstimate:
         lines = fit_csv.read_text().strip().split("\n")
         assert lines[0] == "param,estimate"
         assert len(lines) == 6
+
+    def test_infeasible_fit_prints_nan_sds(self, base_cfg, tmp_path,
+                                           monkeypatch, capsys):
+        # a fit that ends outside the box (d(1) = 0.55) reports converged
+        # false, and Gamma refuses its theta, so the SD column is NaN
+        def outside_fit(data, model, plan, taper):
+            return whittle.FitResult(
+                theta=model.make_params([0.15, 0.40, 0.5, 0.3, 0.5]),
+                objective=0.0, iterations=0, converged=False, plan=plan)
+        series = tmp_path / "y.csv"
+        assert main(["simulate", "--config", base_cfg, "--out",
+                     str(series)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(whittle, "estimate", outside_fit)
+        assert main(["estimate", "--config", base_cfg,
+                     "--data", str(series)]) == 0
+        captured = capsys.readouterr()
+        assert "note: asymptotic SDs unavailable" in captured.err
+        assert "converged: false" in captured.out
+        rows = captured.out.strip().split("\n")[-5:]
+        assert all(row.split()[-1] == "nan" for row in rows)
 
     def test_invalid_plan_exits_4(self, base_cfg, tmp_path):
         series = tmp_path / "y.csv"
@@ -173,6 +202,20 @@ class TestMC:
     def test_quadrature_fallback_without_example(self, base_cfg, capsys):
         assert main(["mc", "--config", base_cfg, "--threads", "1"]) == 0
         assert "theo_sd" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cfg", [BASE_CFG.replace("ma.sign = -1",
+                                                      "ma.sign = 1"),
+                                     FN_CFG], ids=["sign", "length"])
+    def test_family_mismatch_exits_2_before_any_fit(self, cfg, tmp_path,
+                                                     monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr(mcharness, "_run_fits", no_fit)
+        path = tmp_path / "case.cfg"
+        path.write_text(cfg)
+        assert main(["mc", "--config", str(path), "--threads", "1",
+                     "--example", "sec4"]) == 2
+        assert "catalog model" in capsys.readouterr().err
 
     def test_missing_reps_errors(self, tmp_path):
         cfg = tmp_path / "norep.cfg"
@@ -253,11 +296,18 @@ class TestGamma:
         assert "Traceback" not in captured.err
         assert "Fisher matrix" not in captured.out
 
-    def test_usage_errors(self, base_cfg):
+    def test_config_route_closed_form(self, base_cfg, capsys):
+        assert main(["gamma", "--config", base_cfg, "--method", "closed"]) == 0
+        out = capsys.readouterr().out
+        model = asymptotics.catalog_model("sec4")
+        gamma = asymptotics.gamma_exact(model, (0.15, 0.20, 0.5, 0.3, 0.5))
+        assert out.startswith("exact Fisher matrix")
+        for row in gamma.matrix:
+            assert "  " + " ".join(f"{v:>12.6g}" for v in row) in out
+
+    def test_usage_errors(self):
         assert main(["gamma"]) == 2  # neither --example nor --config
         assert main(["gamma", "--example", "sec4"]) == 2  # no theta
-        assert main(["gamma", "--config", base_cfg,
-                     "--method", "closed"]) == 2
 
     @pytest.mark.parametrize("t", ["0", "-3"])
     def test_nonpositive_t_exits_2(self, t, capsys):

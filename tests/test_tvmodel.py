@@ -8,7 +8,8 @@ from lswhittle import (BasisSpec, CurveSpec, InfeasibleParameterError,
                        log_spectral_gradient_grid, require_feasible,
                        spectral_density, validate_params)
 from lswhittle.asymptotics import catalog_model
-from lswhittle.tvmodel import (LOG_2PI, frequencies, log_density, slot_table,
+from lswhittle.tvmodel import (D_HIGH, D_LOW, LOG_2PI, U_RULE, curve_bounds,
+                               frequencies, log_density, slot_table,
                                slot_values)
 
 from oracles import fd_gradient
@@ -107,6 +108,50 @@ class TestValidateParams:
         assert not report.feasible
         assert any(v[0] == "ma1" for v in report.violations)
 
+    def test_pinned_point_is_not_checked(self):
+        # example5's d(u) = a1 u is 0 at u = 0 for every theta: the basis
+        # pins it there, so that point gives no constraint
+        report = validate_params(catalog_model("example5"), [0.3, 0.4, -0.5])
+        assert report.feasible
+
+    @pytest.mark.parametrize("slot", ["d", "ar"])
+    def test_pinned_log_link_point_is_checked(self, slot):
+        # without an intercept a log-link curve is exp(0) = 1 at u = 0,
+        # above D_HIGH and on the unit circle, whatever its coefficient
+        slope = CurveSpec(BasisSpec("polynomial", 1, intercept=False),
+                          link="log")
+        if slot == "d":
+            model = ModelSpec(d=slope, sigma=CurveSpec(BasisSpec("polynomial")))
+            theta, key = [-2.0, 1.0], "d"
+        else:
+            model = ModelSpec(d=CurveSpec(BasisSpec("polynomial")),
+                              sigma=CurveSpec(BasisSpec("polynomial")),
+                              ar=(slope,))
+            theta, key = [0.2, 1.0, -3.0], "ar1"
+        report = validate_params(model, theta)
+        assert report.violations == ((key, 0.0, 1.0,
+                                      curve_bounds(key)[1]),)
+        with pytest.raises(InfeasibleParameterError):
+            require_feasible(model, theta)
+
+    def test_curve_checked_at_fisher_nodes(self):
+        # d(u) = 0.1 + 0.3 cos(200 pi u) is 0.4 on the 101-point grid but
+        # dips below 0 between its points, at nodes of the Fisher u rule
+        model = ModelSpec(
+            d=CurveSpec(BasisSpec("harmonic", freqs=(200.0 * np.pi,))),
+            sigma=CurveSpec(BasisSpec("polynomial")))
+        report = validate_params(model, [0.1, 0.3, 1.0])
+        assert not report.feasible
+        grid = np.linspace(0.0, 1.0, 101)
+        assert all(np.isin(v[1], U_RULE[0]) and not np.isin(v[1], grid)
+                   for v in report.violations)
+
+    def test_box_is_closed(self):
+        model = lsfn_model()
+        assert validate_params(model, [D_HIGH, 0.0, 1.0, 0.0]).feasible
+        assert validate_params(model, [D_LOW, 0.0, 1.0, 0.0]).feasible
+        assert not validate_params(model, [D_LOW, -1e-9, 1.0, 0.0]).feasible
+
     def test_require_feasible_raises(self):
         model = lsfn_model()
         with pytest.raises(InfeasibleParameterError):
@@ -201,13 +246,12 @@ def feasible_table_theta(model, rng):
 
 
 def example5_theta(model, rng):
-    """d = a1 u, AR (1 + a2 u B), MA (1 + a3 u B), both with sign +1.
-
-    d(0) = 0 puts every example5 point outside validate_params' box, so
-    the draw keeps only what log f needs: |a2 u| and |a3 u| below 1.
-    """
-    return np.array([rng.uniform(0.05, 0.45), rng.uniform(-0.8, 0.8),
-                     rng.uniform(-0.8, 0.8)])
+    """d = a1 u, AR (1 + a2 u B), MA (1 + a3 u B), both with sign +1."""
+    while True:
+        theta = np.array([rng.uniform(0.05, 0.45), rng.uniform(-0.8, 0.8),
+                          rng.uniform(-0.8, 0.8)])
+        if validate_params(model, theta).feasible:
+            return theta
 
 
 class TestLogDensity:
