@@ -5,8 +5,7 @@ from .asymptotics import (GammaMatrix, SEReport, asymptotic_se,
                           average_variance_check, catalog_model,
                           dhat_variance_profile, gamma_closed, gamma_d_block,
                           gamma_exact, gamma_quadrature, gram_closed,
-                          gram_quadrature, lambda_mesh, write_gamma_csv,
-                          write_se_csv)
+                          gram_quadrature, lambda_mesh, write_gamma_csv)
 from .configfile import (build_model, dump_config, known_keys, load_config,
                          parse_config_text, parse_range)
 from .errors import (ConfigError, InfeasibleParameterError, LswhittleError,
@@ -22,9 +21,8 @@ from .spectral import (BlockPlan, LocalPeriodogram, Taper, local_periodogram,
                        make_plan, nearest_valid_plan, taper_weights,
                        write_periodogram_csv)
 from .tvmodel import (BasisSpec, ConstraintReport, CurveSpec, ModelSpec,
-                      ParamVector, curve_values, eval_curve,
-                      log_spectral_gradient_grid, require_feasible,
-                      spectral_density, validate_params)
+                      ParamVector, curve_values, log_spectral_gradient_grid,
+                      require_feasible, spectral_density, validate_params)
 from .whittle import (FitResult, WhittleObjective, estimate, fit_summary,
                       starting_point, write_fit_csv)
 
@@ -39,16 +37,15 @@ __all__ = [
     "WhittleObjective", "asymptotic_se", "average_variance_check",
     "build_model", "catalog_model", "covariance", "curve_values",
     "default_workers", "dhat_variance_profile", "dump_config", "estimate",
-    "eval_curve", "fit_summary", "gamma_closed", "gamma_d_block",
-    "gamma_exact", "gamma_quadrature", "gram_closed", "gram_quadrature",
-    "innovations_decompose", "known_keys", "lambda_mesh",
-    "load_config", "local_periodogram", "log_spectral_gradient_grid",
-    "make_kernel",
+    "fit_summary", "gamma_closed", "gamma_d_block", "gamma_exact",
+    "gamma_quadrature", "gram_closed", "gram_quadrature",
+    "innovations_decompose", "known_keys", "lambda_mesh", "load_config",
+    "local_periodogram", "log_spectral_gradient_grid", "make_kernel",
     "make_plan", "mc_table_csv", "mse_grid", "mse_grid_csv", "nearest_plan",
     "nearest_valid_plan", "parse_config_text", "parse_range",
     "paths_from_state", "read_series_csv", "require_feasible", "rng_for",
     "run_mc", "simulate_path", "simulate_paths", "spectral_density",
     "starting_point", "taper_weights", "total_mse", "valid_cells",
     "validate_params", "write_fit_csv", "write_gamma_csv",
-    "write_periodogram_csv", "write_se_csv", "write_series_csv",
+    "write_periodogram_csv", "write_series_csv",
 ]

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotPositiveDefiniteError
-from .tvmodel import (U_RULE, BasisSpec, CurveSpec, ModelSpec,
+from .tvmodel import (LINKS, U_RULE, BasisSpec, CurveSpec, ModelSpec,
                       gauss_legendre, log_spectral_gradient_grid, read_only,
                       require_feasible, slot_table, theta_values)
 
@@ -119,7 +118,8 @@ def gamma_quadrature(model: ModelSpec, theta) -> GammaMatrix:
 # log(1 + 2 a cos lam + a^2) = -2 sum (-a)^k cos(k lam)/k give them in
 # closed form, with a = sign * c and g = +1 for MA, -1 for AR:
 #   (d, d)            pi^2/6
-#   (sigma, sigma)    2 / sigma^2; sigma against any other curve: 0
+#   (sigma, sigma)    2 / sigma^2, held as 2 with sigma's J divided by
+#                     sigma; sigma against any other curve: 0
 #   (d, factor)       g sign log(1 + a)/a, limit g sign at a = 0
 #   (factor, factor)  g1 g2 sign1 sign2 / (1 - a1 a2)
 #
@@ -168,48 +168,10 @@ def _catalog_model(example_id: str, freqs: tuple) -> ModelSpec:
     raise ValueError(f"unknown catalog id {example_id!r}")
 
 
-class _ExactTables(NamedTuple):
-    """What gamma_exact needs of a model that theta does not change.
-
-    rows @ theta gives every eta: each curve's design in its packed
-    columns on the u rule (n_u * n_curves rows).  moments (p * p, n_u)
-    holds w_u s_i s_j g_i(u) g_j(u) for columns i, j, with s = g * sign on
-    AR/MA columns and 1 elsewhere; pairs gives the flat index of
-    (curve i, curve j) in G.
-    """
-
-    rows: np.ndarray
-    moments: np.ndarray
-    pairs: np.ndarray
-    log_curves: tuple    # (curve, its columns) of log-link d and AR/MA curves
-    log_sigma: bool
-    signs: np.ndarray    # sign of each AR/MA curve (curves 2, 3, ...)
-    names: tuple         # model.param_names()
-
-
 @functools.lru_cache(maxsize=64)
-def _exact_tables(model: ModelSpec) -> _ExactTables:
-    xu, wu = U_RULE
-    table = slot_table(model, xu)
-    rows = np.zeros((len(xu), len(table), model.n_params))
-    design = np.empty((len(xu), model.n_params))
-    curve = np.empty(model.n_params, dtype=int)
-    log_curves = []
-    for k, slot in enumerate(table):
-        rows[:, k, slot.index] = design[:, slot.index] = slot.design
-        curve[slot.index] = k
-        if slot.spec.link == "log" and slot.key != "sigma":
-            log_curves.append((k, slot.index))
-    signs = np.array([s.spec.sign for s in table[2:]], dtype=float)
-    g = [1.0 if s.key.startswith("ma") else -1.0 for s in table[2:]]
-    design *= np.concatenate([[1.0, 1.0], g * signs])[curve]
-    return _ExactTables(
-        rows=rows.reshape(-1, model.n_params),
-        moments=(wu * (design.T[:, None, :] * design.T[None, :, :])
-                 ).reshape(-1, len(xu)),
-        pairs=(curve[:, None] * len(table) + curve).ravel(),
-        log_curves=tuple(log_curves), log_sigma=model.sigma.link == "log",
-        signs=signs, names=model.param_names())
+def _u_slots(model: ModelSpec) -> tuple:
+    """The model's slot table on the u rule, built once per model."""
+    return slot_table(model, U_RULE[0])
 
 
 def gamma_exact(model: ModelSpec, theta) -> GammaMatrix:
@@ -231,36 +193,34 @@ def gamma_closed(example_id: str, theta, freqs=(1.0, 2.0)) -> GammaMatrix:
 def _gamma_exact(model: ModelSpec, theta, provenance: str) -> GammaMatrix:
     values = theta_values(model, theta)
     require_feasible(model, values)
-    tab = _exact_tables(model)
-    n_u = len(U_RULE[0])
-    curves = (tab.rows @ values).reshape(n_u, -1)
-    moments = tab.moments
-    if tab.log_curves:  # chain factor link' = c(u) on the log curves' columns
-        slope = np.ones((len(values), n_u))
-        for k, columns in tab.log_curves:
-            curves[:, k] = np.exp(curves[:, k])  # bounded: theta is feasible
-            slope[columns] = curves[:, k]
-        moments = moments * (slope[:, None] * slope[None]).reshape(-1, n_u)
-    gram = np.zeros(curves.shape + curves.shape[1:])
+    table = _u_slots(model)
+    xu, wu = U_RULE
+    curves = np.empty((len(xu), len(table)))
+    jac = np.zeros((len(xu), len(table), len(values)))  # J(u), curve by column
+    for k, slot in enumerate(table):
+        linkinv, dlink = LINKS[slot.spec.link]
+        eta = slot.design @ values[slot.index]
+        curves[:, k] = linkinv(eta)  # bounded: theta is feasible
+        jac[:, k, slot.index] = slot.design * dlink(eta)[:, None]
+    jac[:, 1] /= curves[:, 1:2]  # sigma's 1/sigma, so G holds 2 under any link
+    gram = np.zeros((len(xu), len(table), len(table)))
     gram[:, 0, 0] = PI2_6
-    # under a log link the chain factors sigma(u) cancel 2 / sigma^2, so
-    # G holds 2 and sigma's columns keep the bare design
-    gram[:, 1, 1] = 2.0 if tab.log_sigma else 2.0 / curves[:, 1] ** 2
-    if len(tab.signs):  # G's entries without their g * sign factors
-        a = curves[:, 2:] * tab.signs
-        if a.all():
-            ratio = np.log1p(a) / a
-        else:
-            zero = a == 0.0  # log(1 + a)/a -> 1 there
-            ratio = (np.log1p(a) + zero) / (a + zero)
-        gram[:, 0, 2:] = gram[:, 2:, 0] = ratio
-        gram[:, 2:, 2:] = 1.0 / (1.0 - a[:, :, None] * a[:, None, :])
-    # Gamma_ij = sum_u moments_ij(u) G(u)[curve i, curve j], symmetric as built
-    terms = gram.reshape(n_u, -1).T[tab.pairs] * moments
-    mat = terms.reshape(len(values), len(values), n_u).sum(axis=2)
+    gram[:, 1, 1] = 2.0
+    # AR/MA curves: a = sign * c, s = g * sign
+    sign = np.array([slot.spec.sign for slot in table[2:]], dtype=float)
+    s = sign * [1.0 if slot.key.startswith("ma") else -1.0
+                for slot in table[2:]]
+    a = curves[:, 2:] * sign
+    zero = a == 0.0  # log(1 + a)/a -> 1 there
+    gram[:, 0, 2:] = gram[:, 2:, 0] = s * (np.log1p(a) + zero) / (a + zero)
+    gram[:, 2:, 2:] = s[:, None] * s / (1.0 - a[:, :, None] * a[:, None, :])
+    # Gamma = sum_u w_u J' G J: one batched product, then one Gram product
+    weighted = (jac * wu[:, None, None]).reshape(-1, len(values))
+    mat = weighted.T @ (gram @ jac).reshape(-1, len(values))
+    mat = 0.5 * (mat + mat.T)
     _check_fisher(mat, f"{provenance} Fisher matrix")
     return GammaMatrix(matrix=mat, provenance=provenance,
-                       theta=values.copy(), names=tab.names)
+                       theta=values.copy(), names=model.param_names())
 
 
 @dataclass(frozen=True)
@@ -343,10 +303,3 @@ def write_gamma_csv(gamma: GammaMatrix, path) -> None:
         fh.write("param," + ",".join(gamma.names) + "\n")
         for name, row in zip(gamma.names, gamma.matrix):
             fh.write(name + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def write_se_csv(report: SEReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("param,sd\n")
-        for name, value in zip(report.names, report.sd):
-            fh.write(f"{name},{value:.17g}\n")

@@ -1,8 +1,9 @@
 """Command-line front end: simulate / estimate / mc / grid / gamma.
 
-Exit codes: 0 success, 2 configuration, usage or file errors, 3 infeasible
-parameters or non-positive-definite matrices, 4 invalid block plans or
-empty grids (each error class's ``exit_code``), 143 on SIGTERM.
+Exit codes: 0 success, 2 configuration, usage or file errors and arrays too
+large to allocate, 3 infeasible parameters or non-positive-definite
+matrices, 4 invalid block plans or empty grids (each error class's
+``exit_code``), 143 on SIGTERM.
 """
 from __future__ import annotations
 
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         return args.func(args)
-    except (LswhittleError, OSError, ValueError) as exc:
+    except (LswhittleError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
     finally:

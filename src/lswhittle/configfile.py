@@ -8,6 +8,7 @@ run.
 """
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import ConfigError
@@ -60,10 +61,15 @@ def dump_config(cfg: dict) -> str:
 
 
 def _floats(value: str, key: str) -> tuple:
+    """Comma-separated finite numbers: nan, inf and overflows are refused."""
     try:
-        return tuple(float(tok) for tok in value.split(",") if tok.strip())
+        out = tuple(float(tok) for tok in value.split(",") if tok.strip())
+        if all(map(math.isfinite, out)):
+            return out
     except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {value!r}")
+        pass
+    raise ConfigError(f"{key}: expected comma-separated finite numbers, "
+                      f"got {value!r}")
 
 
 def _int(value: str, key: str) -> int:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
+import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -65,28 +67,70 @@ def _pool_size(workers: int, reps: int) -> int:
     return min(workers, reps, os.cpu_count() or 1)
 
 
+def _hold_sigterm():
+    """Defer SIGTERM until the returned function restores its handler.
+
+    The handler is swapped for one that records the signal, which the
+    returned function then re-raises.  Masking SIGTERM in this thread would
+    not do: another thread (a BLAS worker) takes it, and Python runs the
+    handler here all the same.  Handlers run in the main thread only, so
+    elsewhere nothing is held.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return lambda: None
+    caught = []
+    previous = signal.signal(signal.SIGTERM, lambda *_: caught.append(1))
+
+    def release():
+        signal.signal(signal.SIGTERM, previous)
+        if caught:
+            caught.clear()
+            signal.raise_signal(signal.SIGTERM)
+    return release
+
+
+@contextlib.contextmanager
+def _fit_pool(workers: int, reps: int):
+    """A started process pool for `reps` fits, or None to fit in-process.
+
+    SIGTERM is held while the pool starts, so the CLI's handler cannot fire
+    half way through (in an at-fork callback, or in the manager thread's
+    start).  A SIGTERM that arrives meanwhile is raised once every worker
+    is up, and it unwinds through the pool's shutdown.
+    """
+    size = _pool_size(workers, reps)
+    if size <= 1:
+        yield None
+        return
+    release = _hold_sigterm()
+    try:
+        # the workers take SIGTERM's default action, not the held handler
+        with ProcessPoolExecutor(max_workers=size, initializer=signal.signal,
+                                 initargs=(signal.SIGTERM, signal.SIG_DFL)
+                                 ) as pool:
+            for _ in range(size):  # start every worker and the manager thread
+                pool.submit(int)
+            release()
+            yield pool
+    finally:
+        release()
+
+
 def _run_fits(paths, model, plan, taper_kind, workers, pool=None):
-    """Fit every path on one plan: in `pool` if given, else in-process or
-    in a pool of its own."""
+    """Fit every path on one plan: in `pool` (from _fit_pool) if given,
+    else in-process."""
     reps = len(paths)
-    workers = _pool_size(workers, reps)
     tasks = [(r, paths[r], model, plan, taper_kind) for r in range(reps)]
+    if pool is None:
+        results = map(_fit_task, tasks)
+    else:
+        chunksize = max(1, reps // (4 * _pool_size(workers, reps)))
+        results = pool.map(_fit_task, tasks, chunksize=chunksize)
     estimates = np.empty((reps, model.n_params))
     converged = np.zeros(reps, dtype=bool)
-
-    def collect(results):
-        for rep, values, ok in results:
-            estimates[rep] = values
-            converged[rep] = ok
-
-    chunksize = max(1, reps // (4 * workers))
-    if pool is not None:
-        collect(pool.map(_fit_task, tasks, chunksize=chunksize))
-    elif workers <= 1:
-        collect(map(_fit_task, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as own:
-            collect(own.map(_fit_task, tasks, chunksize=chunksize))
+    for rep, values, ok in results:
+        estimates[rep] = values
+        converged[rep] = ok
     return estimates, converged
 
 
@@ -139,8 +183,9 @@ def run_mc(config: MCConfig) -> MCTable:
     theta0 = theta_values(model, config.theta)
     require_feasible(model, theta0)
     paths = simulate_paths(model, theta0, config.T, config.reps, config.seed)
-    estimates, converged = _run_fits(paths, model, config.plan, config.taper,
-                                     config.workers)
+    with _fit_pool(config.workers, config.reps) as pool:
+        estimates, converged = _run_fits(paths, model, config.plan,
+                                         config.taper, config.workers, pool)
     if config.family:
         gamma = gamma_closed(config.family, theta0)
     else:
@@ -200,10 +245,8 @@ def mse_grid(model: ModelSpec, theta, T: int, n_values, s_values, reps: int,
     cells = valid_cells(T, n_values, s_values)
     paths = simulate_paths(model, theta0, T, reps, seed)
     rows = []
-    size = _pool_size(workers, reps)
     # One pool serves every cell, so its workers start once per grid.
-    with (ProcessPoolExecutor(max_workers=size) if size > 1
-          else contextlib.nullcontext()) as pool:
+    with _fit_pool(workers, reps) as pool:
         for n, s in cells:
             plan = make_plan(T, n, s)
             estimates, _ = _run_fits(paths, model, plan, taper, workers,

@@ -248,24 +248,6 @@ def theta_values(model: ModelSpec, theta) -> np.ndarray:
     return values
 
 
-def eval_curve(spec: CurveSpec, coeffs, u):
-    """Evaluate one curve at u in [0, 1] (scalar or array).
-
-    Returns link^{-1}(sum_j coeffs_j g_j(u)); scalar input gives scalar
-    output.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (spec.size,):
-        raise ValueError(
-            f"curve needs {spec.size} coefficients, got {coeffs.size}"
-        )
-    scalar = np.isscalar(u) or np.ndim(u) == 0
-    eta = spec.basis.design_matrix(u) @ coeffs
-    linkinv, _ = LINKS[spec.link]
-    vals = linkinv(eta)
-    return float(vals[0]) if scalar else vals
-
-
 class Slot(NamedTuple):
     """One curve of a model at fixed points u."""
 

@@ -160,6 +160,7 @@ class TestClosedVersusQuadrature:
 def assert_exact_matches_quadrature(model, theta):
     exact = asymptotics.gamma_exact(model, theta).matrix
     quadr = asymptotics.gamma_quadrature(model, theta).matrix
+    np.testing.assert_array_equal(exact, exact.T)
     np.testing.assert_allclose(exact, quadr, rtol=0.0,
                                atol=1e-13 * np.abs(quadr).max())
 
@@ -241,8 +242,9 @@ class TestExactVersusQuadrature:
 
     def test_log_link_scale_block_is_free_of_scale(self):
         # sigma = exp(500 + 0.1 u) overflows when squared, but its score
-        # 2 (1, u) does not depend on sigma
-        for b0 in (0.2, 500.0, -500.0):
+        # 2 (1, u) does not depend on sigma; +-800 is beyond the link's
+        # +-700 clamp, where exp no longer follows eta
+        for b0 in (0.2, 500.0, -500.0, 800.0, -800.0):
             mat = asymptotics.gamma_closed("example3", (-2.0, 0.5, b0, 0.1)).matrix
             np.testing.assert_allclose(mat[2:, 2:], [[2.0, 1.0], [1.0, 2.0 / 3.0]],
                                        rtol=1e-15)
@@ -495,18 +497,6 @@ class TestCsvOutputs:
         assert row[0] == gamma.names[0]
         np.testing.assert_allclose([float(v) for v in row[1:]],
                                    gamma.matrix[0], rtol=0)
-
-    def test_se_csv(self, tmp_path):
-        gamma = asymptotics.gamma_closed("example2", (0.15, 0.2, 0.5, 0.3))
-        report = asymptotics.asymptotic_se(gamma, 512)
-        path = tmp_path / "se.csv"
-        asymptotics.write_se_csv(report, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "param,sd"
-        assert len(lines) == 5
-        name, sd = lines[-1].split(",")
-        assert name == report.names[-1]
-        assert float(sd) == report.sd[-1]
 
 
 def pushed_to(model, theta, key, value):

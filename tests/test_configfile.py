@@ -147,6 +147,14 @@ class TestBuildModel:
             configfile.build_model(configfile.parse_config_text(text))
 
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_numbers_name_their_key(self, token):
+        text = f"d.coeffs = 0.2, {token}\nsigma.coeffs = 1.0\n"
+        with pytest.raises(ConfigError, match="^d.coeffs: expected "
+                           "comma-separated finite numbers"):
+            configfile.build_model(configfile.parse_config_text(text))
+
+
 class TestSettings:
     def test_require_int_override_wins(self):
         cfg = configfile.parse_config_text(BASE)

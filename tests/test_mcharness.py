@@ -1,4 +1,5 @@
 """Monte Carlo harness: plan substitution, tables, MSE grid, parallel safety."""
+import signal
 import tracemalloc
 
 import numpy as np
@@ -249,18 +250,28 @@ class TestDefaultWorkers:
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records each pool, the tasks that
+    start it and its shutdown, and maps in-process."""
 
     sizes = []
+    pools = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        self.pools.append(self)
+        self.started = 0
+        self.stopped = False
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.stopped = True
         return False
+
+    def submit(self, fn, *args):
+        self.started += 1
+        fn(*args)
 
     def map(self, fn, iterable, chunksize=1):
         return map(fn, iterable)
@@ -277,14 +288,41 @@ class TestPoolSize:
         want, _ = mcharness._run_fits(paths, model, plan, "cosine", 1)
         for cpus, workers, size in ((8, 64, 3), (2, 64, 2), (8, 2, 2)):
             monkeypatch.setattr(mcharness.os, "cpu_count", lambda: cpus)
-            got, _ = mcharness._run_fits(paths, model, plan, "cosine",
-                                         workers)
-            assert RecordingPool.sizes[-1] == size
+            with mcharness._fit_pool(workers, len(paths)) as pool:
+                assert RecordingPool.sizes[-1] == size
+                assert pool.started == size  # every worker before any fit
+                got, _ = mcharness._run_fits(paths, model, plan, "cosine",
+                                             workers, pool)
+            assert pool.stopped
             np.testing.assert_array_equal(got, want)
         # one usable CPU (or an unknown count) fits in-process, no pool
         monkeypatch.setattr(mcharness.os, "cpu_count", lambda: None)
-        mcharness._run_fits(paths, model, plan, "cosine", 64)
+        with mcharness._fit_pool(64, len(paths)) as pool:
+            assert pool is None
         assert len(RecordingPool.sizes) == 3
+
+    def test_sigterm_while_starting_unwinds_a_started_pool(self, monkeypatch):
+        class InterruptedPool(RecordingPool):
+            def submit(self, fn, *args):
+                signal.raise_signal(signal.SIGTERM)
+                super().submit(fn, *args)
+
+        def exit_143(signum, frame):
+            raise SystemExit(143)
+
+        monkeypatch.setattr(mcharness, "ProcessPoolExecutor", InterruptedPool)
+        monkeypatch.setattr(RecordingPool, "pools", [])
+        monkeypatch.setattr(mcharness.os, "cpu_count", lambda: 2)
+        previous = signal.signal(signal.SIGTERM, exit_143)
+        try:
+            with pytest.raises(SystemExit):
+                with mcharness._fit_pool(2, 4):
+                    pytest.fail("the held SIGTERM must unwind before any fit")
+            assert signal.getsignal(signal.SIGTERM) is exit_143
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        pool, = RecordingPool.pools
+        assert (pool.started, pool.stopped) == (2, True)
 
     def test_grid_opens_one_pool_for_all_cells(self, monkeypatch):
         monkeypatch.setattr(mcharness, "ProcessPoolExecutor", RecordingPool)

@@ -6,6 +6,7 @@ traced benchmark run.
 """
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,11 @@ def test_traced_name_resolves_to_callable(layer, qual):
 def test_layers_are_modules():
     for layer in tracing.LAYERS:
         importlib.import_module(f"lswhittle.{layer}")
+
+
+def test_run_fits_arguments_the_tracer_reads():
+    # _describe reads a cell's paths, plan and workers as args[0], args[2]
+    # and args[4] of mcharness._run_fits
+    from lswhittle import mcharness
+    names = list(inspect.signature(mcharness._run_fits).parameters)[:5]
+    assert names == ["paths", "model", "plan", "taper_kind", "workers"]

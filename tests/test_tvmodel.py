@@ -4,7 +4,7 @@ import numpy.testing as npt
 import pytest
 
 from lswhittle import (BasisSpec, CurveSpec, InfeasibleParameterError,
-                       ModelSpec, curve_values, eval_curve,
+                       ModelSpec, curve_values,
                        log_spectral_gradient_grid, require_feasible,
                        spectral_density, validate_params)
 from lswhittle.asymptotics import catalog_model
@@ -34,44 +34,58 @@ def table_model():
     )
 
 
+def one_curve(key, spec, coeffs, u):
+    """curve_values of the curve in slot `key` ("d" or "sigma") of a model
+    whose other slot is the constant 0.3."""
+    const = CurveSpec(POLY0)
+    if key == "d":
+        model, theta = ModelSpec(d=spec, sigma=const), [*coeffs, 0.3]
+    else:
+        model, theta = ModelSpec(d=const, sigma=spec), [0.3, *coeffs]
+    return curve_values(model, theta, u)[key]
+
+
 class TestEvalCurve:
     def test_linear_identity_endpoint(self):
-        assert eval_curve(CurveSpec(POLY1), [0.20, 0.25], 1.0) == pytest.approx(0.45)
+        npt.assert_allclose(one_curve("d", CurveSpec(POLY1), [0.20, 0.25], 1.0),
+                            [0.45], rtol=1e-15)
 
     def test_zero_coeffs_identity(self):
-        for u in (0.0, 0.3, 1.0):
-            assert eval_curve(CurveSpec(POLY1), [0.0, 0.0], u) == 0.0
+        vals = one_curve("d", CurveSpec(POLY1), [0.0, 0.0], [0.0, 0.3, 1.0])
+        npt.assert_array_equal(vals, 0.0)
 
     def test_zero_coeffs_log_link(self):
-        assert eval_curve(CurveSpec(POLY1, link="log"), [0.0, 0.0], 0.5) == 1.0
+        spec = CurveSpec(POLY1, link="log")
+        npt.assert_array_equal(one_curve("sigma", spec, [0.0, 0.0], 0.5), [1.0])
 
     def test_log_link_positive_everywhere(self):
         rng = np.random.default_rng(7)
         u = np.linspace(0, 1, 31)
         for _ in range(50):
             coeffs = rng.normal(scale=3.0, size=2)
-            vals = eval_curve(CurveSpec(POLY1, link="log"), coeffs, u)
+            vals = one_curve("sigma", CurveSpec(POLY1, link="log"), coeffs, u)
             assert np.all(vals > 0)
 
     def test_harmonic_basis(self):
         basis = BasisSpec("harmonic", freqs=(1.0, 2.0))
         # g = (1, cos u, cos 2u)
-        val = eval_curve(CurveSpec(basis), [0.1, 0.2, 0.3], 0.5)
+        val = one_curve("d", CurveSpec(basis), [0.1, 0.2, 0.3], 0.5)
         expected = 0.1 + 0.2 * np.cos(0.5) + 0.3 * np.cos(1.0)
-        assert val == pytest.approx(expected, rel=1e-14)
+        npt.assert_allclose(val, [expected], rtol=1e-14)
 
     def test_u_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            eval_curve(CurveSpec(POLY1), [0.1, 0.1], 1.5)
+            one_curve("d", CurveSpec(POLY1), [0.1, 0.1], 1.5)
 
     def test_coeff_length_mismatch(self):
         with pytest.raises(ValueError):
-            eval_curve(CurveSpec(POLY1), [0.1], 0.5)
+            one_curve("d", CurveSpec(POLY1), [0.1], 0.5)
 
     def test_empty_basis_pins_link_origin(self):
         empty = BasisSpec("polynomial", 0, intercept=False)
         assert empty.size == 0
-        assert eval_curve(CurveSpec(empty, link="log"), [], 0.3) == 1.0
+        spec = CurveSpec(empty, link="log")
+        npt.assert_array_equal(one_curve("sigma", spec, [], 0.3), [1.0])
 
 
 class TestValidateParams:
