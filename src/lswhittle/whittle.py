@@ -30,6 +30,9 @@ from .tvmodel import (ModelSpec, ParamVector, curve_bounds, frequencies,
                       validate_params)
 
 PENALTY_SCALE = 1e3
+# Nelder-Mead's starting step per coefficient in link space (times the data
+# SD for identity-link sigma): about one asymptotic SD at T = 512.
+SIMPLEX_STEP = 0.1
 
 
 class WhittleObjective:
@@ -80,6 +83,7 @@ class FitResult:
     theta: ParamVector
     objective: float
     iterations: int
+    evaluations: int
     converged: bool
     plan: BlockPlan
 
@@ -107,8 +111,10 @@ def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,
 
     Runs the simplex search from the documented starting point, then once
     more from a fresh simplex seeded at the first optimum (guards against
-    premature collapse), and keeps the better result.  ``converged``
-    reports the optimizer's own success flag and final-point feasibility.
+    premature collapse), and keeps the better result.  Each pass starts
+    from the simplex x + diag(steps) (``SIMPLEX_STEP``) unless ``options``
+    gives one.  ``converged`` reports the optimizer's own success flag and
+    final-point feasibility; ``evaluations`` counts both passes' calls.
     """
     data = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(data)):
@@ -122,31 +128,40 @@ def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,
     opts = {"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000, "maxfev": 4000}
     if options:
         opts.update(options)
-    res = minimize(objective, x0, method="Nelder-Mead", options=opts)
+    steps = np.full(model.n_params, SIMPLEX_STEP)
+    if model.sigma.link == "identity":  # the start's SD: scale-equivariant
+        steps[model.slices()["sigma"]] *= max(float(np.std(data)), 1e-3)
+
+    def search(x):
+        return minimize(objective, x, method="Nelder-Mead", options={
+            "initial_simplex": np.vstack([x, x + np.diag(steps)]), **opts})
+
+    res = search(x0)
     # Restart once from a perturbed copy of the first optimum: each
     # coordinate nudged by 5% of its magnitude (at least 0.005), with
     # alternating sign so the nudge is direction-neutral overall.
     nudge = 0.05 * np.maximum(np.abs(res.x), 0.1)
     nudge[1::2] *= -1.0
-    res2 = minimize(objective, res.x + nudge, method="Nelder-Mead",
-                    options=opts)
+    res2 = search(res.x + nudge)
     best = res2 if res2.fun <= res.fun else res
     feasible = validate_params(model, best.x).feasible
     return FitResult(
         theta=model.make_params(best.x),
         objective=float(best.fun),
         iterations=int(res.nit + res2.nit),
+        evaluations=int(res.nfev + res2.nfev),
         converged=bool(best.success and feasible),
         plan=plan,
     )
 
 
 def fit_summary(fit: FitResult) -> str:
-    """Plain-text block reporting convergence, objective, and iterations."""
+    """Plain-text block: convergence, objective, iterations, evaluations."""
     lines = [
         f"converged: {str(fit.converged).lower()}",
         f"objective: {fit.objective:.17g}",
         f"iterations: {fit.iterations}",
+        f"evaluations: {fit.evaluations}",
         f"plan: T={fit.plan.T} N={fit.plan.N} S={fit.plan.S} M={fit.plan.M}",
     ]
     for name, value in zip(fit.theta.names, fit.theta.values):

@@ -153,7 +153,8 @@ class TestEstimate:
         def outside_fit(data, model, plan, taper):
             return whittle.FitResult(
                 theta=model.make_params([0.15, 0.40, 0.5, 0.3, 0.5]),
-                objective=0.0, iterations=0, converged=False, plan=plan)
+                objective=0.0, iterations=0, evaluations=0, converged=False,
+                plan=plan)
         series = tmp_path / "y.csv"
         assert main(["simulate", "--config", base_cfg, "--out",
                      str(series)]) == 0
