@@ -43,6 +43,9 @@ SIGMA_LOW = 1e-8
 ARMA_BOUND = 1.0 - 1e-6
 _BOUNDS = {"d": (D_LOW, D_HIGH), "sigma": (SIGMA_LOW, np.inf),
            "ar": (-ARMA_BOUND, ARMA_BOUND), "ma": (-ARMA_BOUND, ARMA_BOUND)}
+# How far past a bound, in link space, a point still counts as feasible: an
+# optimizer that stops on a bound may leave it outside by rounding.
+FEASIBILITY_TOL = 1e-12
 VALIDATION_GRID = 101
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -336,13 +339,15 @@ def validate_params(model: ModelSpec, theta) -> ConstraintReport:
 
     Each curve must lie in its closed box at its check points: d(u) in
     [D_LOW, D_HIGH], an identity-link sigma(u) >= SIGMA_LOW, and every
-    AR/MA coefficient curve |c(u)| <= ARMA_BOUND.  Violations are reported
-    as tuples (component, u, value, bound) in curve values.
+    AR/MA coefficient curve |c(u)| <= ARMA_BOUND, each bound widened by
+    FEASIBILITY_TOL in link space.  Violations are reported as tuples
+    (component, u, value, bound) in curve values.
     """
     A, lo, hi, keys, points = _constraint_rows(model)
     eta = A @ theta_values(model, theta)
     violations = []
-    for i in np.flatnonzero(~((eta >= lo) & (eta <= hi))):
+    inside = (eta >= lo - FEASIBILITY_TOL) & (eta <= hi + FEASIBILITY_TOL)
+    for i in np.flatnonzero(~inside):
         linkinv = LINKS[dict(model.curves())[keys[i]].link][0]
         violations.append((keys[i], float(points[i]), float(linkinv(eta[i])),
                            curve_bounds(keys[i])[int(eta[i] > hi[i])]))

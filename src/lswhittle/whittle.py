@@ -12,27 +12,24 @@ half weight at the Nyquist frequency for even N (it is its own mirror
 image).  Frequency zero is excluded: the long-memory density diverges
 there.
 
-Parameter constraints are handled by a smooth penalty: curve values are
-clipped into the feasible box before assembling f, and the squared clip
-distance (times a fixed scale) is added, so the objective is finite,
-continuous across the boundary, pure, and deterministic.
+The fit searches the model's feasible polytope (tvmodel._constraint_rows),
+where L is the sum above.  Outside it curve values are clipped into the box
+before assembling f, and the squared clip distance (times a fixed scale) is
+added, so L is finite everywhere, continuous, pure, and deterministic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import LinearConstraint, minimize
 
 from .spectral import BlockPlan, LocalPeriodogram, Taper, local_periodogram
-from .tvmodel import (ModelSpec, ParamVector, curve_bounds, frequencies,
-                      log_density, slot_table, slot_values, theta_values,
-                      validate_params)
+from .tvmodel import (ModelSpec, ParamVector, _constraint_rows, curve_bounds,
+                      frequencies, log_density, log_density_score, slot_table,
+                      slot_values, theta_values, validate_params)
 
 PENALTY_SCALE = 1e3
-# Nelder-Mead's starting step per coefficient in link space (times the data
-# SD for identity-link sigma): about one asymptotic SD at T = 512.
-SIMPLEX_STEP = 0.1
 
 
 class WhittleObjective:
@@ -77,6 +74,18 @@ class WhittleObjective:
         return float(self._norm * np.add.reduce(dev @ self._w)
                      + PENALTY_SCALE * penalty)
 
+    def gradient(self, theta) -> np.ndarray:
+        """norm sum_j sum_k w_k (1 - I/f) dlog f/dtheta: the gradient of L
+        inside the feasible polytope (no clip, no penalty)."""
+        values = theta_values(self.model, theta)
+        curves = {k: c[:, None]
+                  for k, c in slot_values(self._slots, values).items()}
+        logf = log_density(self._slots, curves, self._freqs)
+        resid = 1.0 - self.ordinates * np.exp(-logf)
+        score = log_density_score(self._slots, values, self._freqs)
+        return self._norm * (score.reshape(len(values), -1)
+                             @ (resid * self._w).ravel())
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -86,6 +95,7 @@ class FitResult:
     evaluations: int
     converged: bool
     plan: BlockPlan
+    message: str = ""  # the optimizer's stopping message
 
 
 def starting_point(model: ModelSpec, data: np.ndarray) -> np.ndarray:
@@ -105,17 +115,21 @@ def starting_point(model: ModelSpec, data: np.ndarray) -> np.ndarray:
     return x0
 
 
-def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,
-             start=None, options: dict | None = None) -> FitResult:
-    """Minimize the blockwise Whittle objective by Nelder-Mead.
+def fit_objective(objective: WhittleObjective, x0):
+    """scipy's SLSQP run from x0 on the analytic gradient, constrained to
+    the model's rows lo <= A theta <= hi; returns its OptimizeResult."""
+    A, lo, hi = _constraint_rows(objective.model)[:3]
+    return minimize(objective, x0, jac=objective.gradient, method="SLSQP",
+                    constraints=[LinearConstraint(A, lo, hi)],
+                    options={"ftol": 1e-12})
 
-    Runs the simplex search from the documented starting point, then once
-    more from a fresh simplex seeded at the first optimum (guards against
-    premature collapse), and keeps the better result.  Each pass starts
-    from the simplex x + diag(steps) (``SIMPLEX_STEP``) unless ``options``
-    gives one.  ``converged`` reports the optimizer's own success flag and
-    final-point feasibility; ``evaluations`` counts both passes' calls.
-    """
+
+def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,
+             start=None) -> FitResult:
+    """Minimize the blockwise Whittle objective: one fit_objective run from
+    the documented starting point (or ``start``).  ``converged`` is the
+    optimizer's success flag and final-point feasibility (validate_params);
+    ``evaluations`` counts objective calls, not gradient calls."""
     data = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite values")
@@ -125,43 +139,27 @@ def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,
     objective = WhittleObjective(pg, model)
     x0 = starting_point(model, data) if start is None else \
         theta_values(model, start)
-    opts = {"xatol": 1e-6, "fatol": 1e-8, "maxiter": 2000, "maxfev": 4000}
-    if options:
-        opts.update(options)
-    steps = np.full(model.n_params, SIMPLEX_STEP)
-    if model.sigma.link == "identity":  # the start's SD: scale-equivariant
-        steps[model.slices()["sigma"]] *= max(float(np.std(data)), 1e-3)
-
-    def search(x):
-        return minimize(objective, x, method="Nelder-Mead", options={
-            "initial_simplex": np.vstack([x, x + np.diag(steps)]), **opts})
-
-    res = search(x0)
-    # Restart once from a perturbed copy of the first optimum: each
-    # coordinate nudged by 5% of its magnitude (at least 0.005), with
-    # alternating sign so the nudge is direction-neutral overall.
-    nudge = 0.05 * np.maximum(np.abs(res.x), 0.1)
-    nudge[1::2] *= -1.0
-    res2 = search(res.x + nudge)
-    best = res2 if res2.fun <= res.fun else res
-    feasible = validate_params(model, best.x).feasible
+    res = fit_objective(objective, x0)
     return FitResult(
-        theta=model.make_params(best.x),
-        objective=float(best.fun),
-        iterations=int(res.nit + res2.nit),
-        evaluations=int(res.nfev + res2.nfev),
-        converged=bool(best.success and feasible),
+        theta=model.make_params(res.x),
+        objective=float(res.fun),
+        iterations=int(res.nit),
+        evaluations=int(res.nfev),
+        converged=bool(res.success and validate_params(model, res.x).feasible),
         plan=plan,
+        message=str(res.message),
     )
 
 
 def fit_summary(fit: FitResult) -> str:
-    """Plain-text block: convergence, objective, iterations, evaluations."""
+    """Plain-text block: convergence, objective, iterations, evaluations,
+    the stopping message and the plan, then one line per coefficient."""
     lines = [
         f"converged: {str(fit.converged).lower()}",
         f"objective: {fit.objective:.17g}",
         f"iterations: {fit.iterations}",
         f"evaluations: {fit.evaluations}",
+        f"stopped: {fit.message}",
         f"plan: T={fit.plan.T} N={fit.plan.N} S={fit.plan.S} M={fit.plan.M}",
     ]
     for name, value in zip(fit.theta.names, fit.theta.values):

@@ -43,22 +43,28 @@ def naive_periodogram(block, h, lam):
 
 
 def naive_whittle(model, theta, data, plan, taper):
-    """Blockwise Whittle objective by direct loops over blocks/frequencies."""
+    """Blockwise Whittle objective by direct sums over blocks/frequencies.
+
+    Each tapered ordinate is the explicit cosine and sine sum over the
+    block's samples; f comes from one spectral_density call on the
+    (u_j, lam_k) grid.
+    """
     n = plan.N
     nfreq = n // 2
-    lam = [2.0 * math.pi * k / n for k in range(1, nfreq + 1)]
-    total = 0.0
-    for j in range(plan.M):
-        block = data[j * plan.S: j * plan.S + n]
-        ords = naive_periodogram(block, taper.weights, lam)
-        u = (j * plan.S + n // 2) / plan.T
-        for k in range(nfreq):
-            w = 2.0 * (2.0 * math.pi / n)
-            if n % 2 == 0 and k == nfreq - 1:
-                w *= 0.5
-            f = float(spectral_density(model, theta, u, lam[k]))
-            total += w * (math.log(f) + ords[k] / f)
-    return total / (4.0 * math.pi * plan.M)
+    lam = 2.0 * math.pi * np.arange(1, nfreq + 1) / n
+    h = np.asarray(taper.weights, dtype=float)
+    starts = plan.S * np.arange(plan.M)
+    blocks = h * np.asarray(data, dtype=float)[starts[:, None] + np.arange(n)]
+    phase = np.outer(np.arange(n), lam)
+    re = blocks @ np.cos(phase)
+    im = -(blocks @ np.sin(phase))
+    ords = (re * re + im * im) / (2.0 * math.pi * np.sum(h * h))
+    u = (starts + n // 2) / plan.T
+    f = spectral_density(model, theta, u[:, None], lam[None, :])
+    w = np.full(nfreq, 2.0 * (2.0 * math.pi / n))
+    if n % 2 == 0:
+        w[-1] *= 0.5
+    return float(np.sum((np.log(f) + ords / f) @ w)) / (4.0 * math.pi * plan.M)
 
 
 def naive_innovations(cov):

@@ -303,6 +303,15 @@ class TestGamma:
         assert main(["gamma", "--example", "harmonic",
                      "--theta", "5.0,0,0,1.0"]) == 3
 
+    def test_feasibility_tolerance_at_d_high(self, capsys):
+        # d(1) = alpha0 + alpha1 lands 1e-13 past D_HIGH = 0.499 (within
+        # FEASIBILITY_TOL) or 1e-9 past it (refused)
+        assert main(["gamma", "--example", "sec4",
+                     "--theta", "0.3,0.1990000000001,0.5,0.3,0.5"]) == 0
+        assert main(["gamma", "--example", "sec4",
+                     "--theta", "0.3,0.199000001,0.5,0.3,0.5"]) == 3
+        capsys.readouterr()
+
     def test_singular_gamma_exits_3(self, capsys):
         # a2 == a3 cancels example5's AR and MA factors
         assert main(["gamma", "--example", "example5",

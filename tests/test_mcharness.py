@@ -1,4 +1,5 @@
 """Monte Carlo harness: plan substitution, tables, MSE grid, parallel safety."""
+import dataclasses
 import signal
 import tracemalloc
 
@@ -103,18 +104,28 @@ class TestRunMC:
             np.testing.assert_array_equal(table.mean_est, fit.theta.values)
             np.testing.assert_array_equal(table.emp_sd, np.zeros(5))
 
-    def test_moments_use_converged_fits_only(self):
-        # seed 11 at this size yields 2 converged of 6, so the moment
-        # columns must come from those two rows alone
+    def test_moments_use_converged_fits_only(self, monkeypatch):
+        # every fit of seed 11 at this size converges, so the replications
+        # fitted second, fourth and sixth are flagged unconverged here; the
+        # moment columns must come from the other three rows alone
+        fits = []
+
+        def flagged(*args):
+            fit = whittle.estimate(*args)
+            fits.append(fit)
+            return dataclasses.replace(
+                fit, converged=fit.converged and len(fits) % 2 == 1)
+
+        monkeypatch.setattr(mcharness, "estimate", flagged)
         model = ma_model()
         plan = spectral.make_plan(256, 64, 48)
         config = mcharness.MCConfig(model=model, theta=THETA_MA, T=256,
                                     plan=plan, reps=6, seed=11,
-                                    family="sec4")
+                                    family="sec4", workers=1)
         table = mcharness.run_mc(config)
         used = table.estimates[table.converged]
-        assert table.n_converged == int(table.converged.sum())
-        assert 2 <= table.n_converged < 6
+        assert all(fit.converged for fit in fits)
+        assert table.n_converged == int(table.converged.sum()) == 3
         np.testing.assert_allclose(table.mean_est, used.mean(axis=0))
         np.testing.assert_allclose(table.emp_sd, used.std(axis=0, ddof=1))
 

@@ -8,7 +8,8 @@ from lswhittle import (BasisSpec, CurveSpec, InfeasibleParameterError,
                        log_spectral_gradient_grid, require_feasible,
                        spectral_density, validate_params)
 from lswhittle.asymptotics import catalog_model
-from lswhittle.tvmodel import (D_HIGH, D_LOW, LOG_2PI, U_RULE, curve_bounds,
+from lswhittle.tvmodel import (D_HIGH, D_LOW, FEASIBILITY_TOL, LOG_2PI, U_RULE,
+                               curve_bounds,
                                frequencies, log_density, slot_table,
                                slot_values)
 
@@ -165,6 +166,17 @@ class TestValidateParams:
         assert validate_params(model, [D_HIGH, 0.0, 1.0, 0.0]).feasible
         assert validate_params(model, [D_LOW, 0.0, 1.0, 0.0]).feasible
         assert not validate_params(model, [D_LOW, -1e-9, 1.0, 0.0]).feasible
+
+    def test_feasibility_tolerance(self):
+        # a bound holds within FEASIBILITY_TOL = 1e-12 in link space: an
+        # optimizer that stops on D_HIGH may overshoot it by rounding
+        model = lsfn_model()
+        assert FEASIBILITY_TOL == 1e-12
+        assert validate_params(model, [D_HIGH + 1e-13, 0.0, 1.0, 0.0]).feasible
+        assert validate_params(model, [D_LOW - 1e-13, 0.0, 1.0, 0.0]).feasible
+        report = validate_params(model, [D_HIGH + 1e-9, 0.0, 1.0, 0.0])
+        assert not report.feasible
+        assert report.violations[0][3] == D_HIGH
 
     def test_require_feasible_raises(self):
         model = lsfn_model()

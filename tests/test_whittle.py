@@ -1,4 +1,4 @@
-"""Blockwise Whittle objective and Nelder-Mead estimation."""
+"""Blockwise Whittle objective, its gradient, and SLSQP estimation."""
 import math
 
 import numpy as np
@@ -11,7 +11,7 @@ from lswhittle import (BasisSpec, CurveSpec, ModelSpec, mcharness, simulator,
                        spectral, spectral_density, tvmodel, whittle)
 from lswhittle.asymptotics import catalog_model
 
-from oracles import naive_whittle
+from oracles import fd_gradient, naive_periodogram, naive_whittle
 
 POLY0 = BasisSpec("polynomial", 0)
 POLY1 = BasisSpec("polynomial", 1)
@@ -48,6 +48,40 @@ def synthetic_pg(model, theta, plan, taper_kind="cosine"):
         ords[j] = spectral_density(model, theta, u, freqs)
     return spectral.LocalPeriodogram(ordinates=ords, freqs=freqs, plan=plan,
                                      taper=taper)
+
+
+def loop_whittle(model, theta, data, plan, taper):
+    """The objective assembled one block and one frequency at a time, from
+    naive_periodogram and scalar spectral_density values."""
+    n = plan.N
+    lam = [2.0 * math.pi * k / n for k in range(1, n // 2 + 1)]
+    total = 0.0
+    for j in range(plan.M):
+        ords = naive_periodogram(data[j * plan.S: j * plan.S + n],
+                                 taper.weights, lam)
+        u = (j * plan.S + n // 2) / plan.T
+        for k in range(n // 2):
+            w = 2.0 * (2.0 * math.pi / n)
+            if n % 2 == 0 and k == n // 2 - 1:
+                w *= 0.5
+            f = float(spectral_density(model, theta, u, lam[k]))
+            total += w * (math.log(f) + ords[k] / f)
+    return total / (4.0 * math.pi * plan.M)
+
+
+class TestNaiveWhittle:
+    @pytest.mark.parametrize("taper_kind", ["cosine", "uniform"])
+    @pytest.mark.parametrize("n,s", [(24, 10), (25, 11)])  # even and odd N
+    def test_matches_loop_assembly(self, n, s, taper_kind):
+        model = ma_model()
+        t = 3 * s + n
+        data = sim(model, SEC4_TRUTH, t, seed=2)
+        plan = spectral.make_plan(t, n, s)
+        taper = spectral.taper_weights(taper_kind, n)
+        for theta in (SEC4_TRUTH, [0.30, -0.10, 0.8, 0.0, -0.2]):
+            want = loop_whittle(model, theta, data, plan, taper)
+            got = naive_whittle(model, theta, data, plan, taper)
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestObjective:
@@ -218,6 +252,19 @@ class TestObjectiveBitIdentity:
         assert seen == {False, True}
 
 
+class TestGradient:
+    @pytest.mark.parametrize("family", sorted(CATALOG_CENTRES))
+    @pytest.mark.parametrize("n,s", [(32, 16), (33, 19)])  # even and odd N
+    def test_matches_central_differences(self, family, n, s):
+        model = catalog_model(family)
+        centre = np.array(CATALOG_CENTRES[family])
+        data = sim(ma_model(), SEC4_TRUTH, 128, seed=4)
+        obj, _ = make_objective(model, data, spectral.make_plan(128, n, s))
+        np.testing.assert_allclose(obj.gradient(centre),
+                                   fd_gradient(obj, centre, step=1e-6),
+                                   rtol=1e-6)
+
+
 class TestStartingPoint:
     def test_documented_start(self):
         model = ma_model()
@@ -241,19 +288,19 @@ class TestStartingPoint:
 class TestEstimate:
     def test_recovers_synthetic_fixed_point(self):
         # The population objective built from exact density ordinates is
-        # minimized at the generating parameters; Nelder-Mead from a
-        # perturbed start must come home to them.
+        # minimized at the generating parameters; the fit's SLSQP run, from
+        # the documented start and from a perturbed one, comes home to them.
         model = ma_model()
         theta_star = np.array([0.15, 0.20, 0.5, 0.3, 0.5])
         plan = spectral.make_plan(512, 104, 34)
         pg = synthetic_pg(model, theta_star, plan)
         obj = whittle.WhittleObjective(pg, model)
-        from scipy.optimize import minimize
-        start = theta_star + np.array([0.05, -0.05, 0.1, -0.05, 0.08])
-        res = minimize(obj, start, method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-12,
-                                "maxiter": 4000, "maxfev": 8000})
-        np.testing.assert_allclose(res.x, theta_star, atol=1e-3)
+        starts = (whittle.starting_point(model, sim(model, theta_star, 512)),
+                  theta_star + np.array([0.05, -0.05, 0.1, -0.05, 0.08]))
+        for start in starts:
+            res = whittle.fit_objective(obj, start)
+            assert res.success, res.message
+            np.testing.assert_allclose(res.x, theta_star, rtol=0.0, atol=1e-6)
 
     def test_estimate_runs_and_converges(self):
         model = ma_model()
@@ -369,10 +416,14 @@ class TestArgmin:
             assert_not_above_truth(sec4_case, data, fit)
 
     def test_median_evaluations(self, ac7_fits):
-        # 1,118.5 with the scaled simplex, 1,668 with scipy's default one,
-        # whose steps of 0.00025 on zero coefficients make Nelder-Mead
-        # grow the simplex before it searches.
-        assert np.median([fit.evaluations for _, fit in ac7_fits]) <= 1400
+        # 21 with SLSQP on the analytic gradient
+        assert np.median([fit.evaluations for _, fit in ac7_fits]) <= 60
+
+    def test_fits_are_feasible_and_converged(self, sec4_case, ac7_fits):
+        model = sec4_case[0]
+        for _, fit in ac7_fits:
+            assert tvmodel.validate_params(model, fit.theta).feasible
+            assert fit.converged, fit.message
 
 
 class TestFitReports:
@@ -386,6 +437,7 @@ class TestFitReports:
         assert "converged: true" in text
         assert "plan: T=96 N=32 S=32 M=3" in text
         assert f"evaluations: {fit.evaluations}" in text
+        assert fit.message and f"stopped: {fit.message}\n" in text
         path = tmp_path / "fit.csv"
         whittle.write_fit_csv(fit, path)
         lines = path.read_text().strip().split("\n")
