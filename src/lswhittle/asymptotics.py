@@ -198,7 +198,7 @@ def _gamma_exact(model: ModelSpec, theta, provenance: str) -> GammaMatrix:
     curves = np.empty((len(xu), len(table)))
     jac = np.zeros((len(xu), len(table), len(values)))  # J(u), curve by column
     for k, slot in enumerate(table):
-        linkinv, dlink = LINKS[slot.spec.link]
+        linkinv, dlink = LINKS[slot.spec.link][:2]
         eta = slot.design @ values[slot.index]
         curves[:, k] = linkinv(eta)  # bounded: theta is feasible
         jac[:, k, slot.index] = slot.design * dlink(eta)[:, None]

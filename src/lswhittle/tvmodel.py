@@ -139,9 +139,14 @@ def _link_log(eta):
     return np.exp(np.clip(eta, -700.0, 700.0))
 
 
+def _d2link_identity(eta):
+    return np.zeros(np.shape(eta))
+
+
+# link^{-1} and its first and second derivatives in eta
 LINKS = {
-    "identity": (_link_identity, _dlink_identity),
-    "log": (_link_log, _link_log),  # d/d eta exp(eta) = exp(eta)
+    "identity": (_link_identity, _dlink_identity, _d2link_identity),
+    "log": (_link_log, _link_log, _link_log),  # every derivative of exp is exp
 }
 
 
@@ -326,6 +331,33 @@ def _constraint_rows(model: ModelSpec) -> tuple:
     return np.concatenate(rows), lo, hi, tuple(keys), np.concatenate(points)
 
 
+@functools.lru_cache(maxsize=64)
+def box_coordinates(model: ModelSpec):
+    """Coordinates z = B @ theta in which the feasible set is the box
+    lo <= z <= hi, as the tuple (B, B^-1, lo, hi), or None.
+
+    The rows of B are the distinct non-zero rows of _constraint_rows with
+    their bounds, then a unit row with bounds +-inf for every coefficient
+    that no row bounds (a log-link sigma).  They are the endpoint values
+    of the catalog's degree-<=1 polynomial curves in link space.  None
+    when they do not form an invertible square matrix, as for a harmonic
+    curve or a polynomial of degree >= 2.
+    """
+    A, lo, hi = _constraint_rows(model)[:3]
+    # A row repeats only within one curve (a constant's two end points),
+    # so with the same bounds; keep its first copy, in packed order.
+    nonzero = np.flatnonzero(A.any(axis=1))
+    rows = nonzero[np.sort(np.unique(A[nonzero], axis=0,
+                                     return_index=True)[1])]
+    unbounded = ~A.any(axis=0)
+    B = np.vstack([A[rows], np.eye(model.n_params)[unbounded]])
+    if B.shape[0] != model.n_params or \
+            np.linalg.matrix_rank(B) < model.n_params:
+        return None
+    pad = np.full(unbounded.sum(), np.inf)
+    return B, np.linalg.inv(B), np.r_[lo[rows], -pad], np.r_[hi[rows], pad]
+
+
 @dataclass(frozen=True)
 class ConstraintReport:
     """Outcome of feasibility validation; feasible iff violations is empty."""
@@ -352,6 +384,16 @@ def validate_params(model: ModelSpec, theta) -> ConstraintReport:
         violations.append((keys[i], float(points[i]), float(linkinv(eta[i])),
                            curve_bounds(keys[i])[int(eta[i] > hi[i])]))
     return ConstraintReport(feasible=not violations, violations=tuple(violations))
+
+
+def active_check_points(model: ModelSpec, theta) -> tuple:
+    """(curve, u) of every check point where the curve lies within
+    FEASIBILITY_TOL of a bound, in link space."""
+    A, lo, hi, keys, points = _constraint_rows(model)
+    eta = A @ theta_values(model, theta)
+    on_bound = ((np.abs(eta - lo) <= FEASIBILITY_TOL)
+                | (np.abs(eta - hi) <= FEASIBILITY_TOL))
+    return tuple((keys[i], float(points[i])) for i in np.flatnonzero(on_bound))
 
 
 def require_feasible(model: ModelSpec, theta) -> None:
@@ -410,35 +452,46 @@ def log_density(table: tuple, curves: dict, freqs: Frequencies) -> np.ndarray:
     return logf
 
 
-def log_density_score(table: tuple, values: np.ndarray,
-                      freqs: Frequencies) -> np.ndarray:
+def log_density_score(table: tuple, values: np.ndarray, freqs: Frequencies,
+                      second: bool = False):
     """Analytic score d log f / d theta on the (u, lam) grid.
 
     Shape (n_params, n_u, n_lam): each coefficient's design column times
-    link'(eta) times d log f / dc, which is -2 log(2 sin|lam|/2) for d,
-    2 / sigma for sigma, and +-2 sign (cos lam + a) / (1 + 2 a cos lam + a^2)
-    for an MA (+) or AR (-) curve c, a = sign * c.
+    link'(eta) times h' = d log f / dc.  With ``second``, the pair (score,
+    curvature): curvature[k], shape (n_u, n_lam), is d^2 log f / d eta^2 =
+    link'(eta)^2 h'' + link''(eta) h' of slot k, so the Hessian of log f in
+    that slot's coefficients is design' diag(curvature[k]) design at each
+    (u, lam), and zero across slots.  The kernels h' and h'' = d^2 log f /
+    dc^2 are, for d: -2 log(2 sin|lam|/2) and 0; for sigma: 2 / sigma and
+    -2 / sigma^2; for an MA (+) or AR (-) curve c, with a = sign * c and
+    q = 1 + 2 a cos lam + a^2: +-2 sign (cos lam + a) / q and
+    +-2 (q - 2 (cos lam + a)^2) / q^2 = +-(2 / q - h'^2).
     """
     n_u, n_lam = len(table[0].design), len(freqs.half2)
     score = np.empty((table[-1].index.stop, n_u, n_lam))
-    for slot in table:
-        linkinv, dlink = LINKS[slot.spec.link]
+    curvature = np.empty((len(table), n_u, n_lam)) if second else None
+    for k, slot in enumerate(table):
+        linkinv, dlink, d2link = LINKS[slot.spec.link]
         eta = slot.design @ values[slot.index]
         c = linkinv(eta)[:, None]
         if slot.key == "d":
-            dlogf = -freqs.half2
+            h, h2 = -freqs.half2, 0.0
         elif slot.key == "sigma":
-            dlogf = 2.0 / c
+            h, h2 = 2.0 / c, -2.0 / (c * c)
         else:
-            sign = slot.spec.sign
-            a = sign * c
-            dlogf = (2.0 * sign * (freqs.coslam + a)
-                     / (1.0 + 2.0 * a * freqs.coslam + a * a))
-            if slot.key.startswith("ar"):
-                dlogf = -dlogf
-        chain = slot.design * dlink(eta)[:, None]
-        score[slot.index] = chain.T[:, :, None] * dlogf
-    return score
+            g = 1.0 if slot.key.startswith("ma") else -1.0
+            a = slot.spec.sign * c
+            q = 1.0 + 2.0 * a * freqs.coslam + a * a
+            h = 2.0 * g * slot.spec.sign * (freqs.coslam + a) / q
+            h2 = g * (2.0 / q - h * h) if second else None
+        dl = dlink(eta)[:, None]
+        score[slot.index] = (slot.design * dl).T[:, :, None] * h
+        if second:
+            curvature[k] = dl * dl * h2
+            d2l = d2link(eta)
+            if d2l.any():  # zero under the identity link
+                curvature[k] += d2l[:, None] * h
+    return (score, curvature) if second else score
 
 
 def spectral_density(model: ModelSpec, theta, u, lam):

@@ -12,24 +12,40 @@ half weight at the Nyquist frequency for even N (it is its own mirror
 image).  Frequency zero is excluded: the long-memory density diverges
 there.
 
-The fit searches the model's feasible polytope (tvmodel._constraint_rows),
-where L is the sum above.  Outside it curve values are clipped into the box
-before assembling f, and the squared clip distance (times a fixed scale) is
-added, so L is finite everywhere, continuous, pure, and deterministic.
+The fit (fit_objective) searches the model's feasible polytope
+(tvmodel._constraint_rows), where L is the sum above.  Where that polytope
+is a box in the coordinates tvmodel.box_coordinates gives (the endpoint
+values of degree <= 1 polynomial curves: every catalog model), the fit is
+projected Newton on the exact Hessian of L (WhittleObjective.derivatives);
+for any other model it is scipy's SLSQP inside the constraint rows.
+Outside the polytope curve values are clipped into the box before
+assembling f, and the squared clip distance (times a fixed scale) is added,
+so L is finite everywhere, continuous, pure, and deterministic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import LinearConstraint, minimize
+from scipy.optimize import LinearConstraint, OptimizeResult, minimize
 
 from .spectral import BlockPlan, LocalPeriodogram, Taper, local_periodogram
-from .tvmodel import (ModelSpec, ParamVector, _constraint_rows, curve_bounds,
-                      frequencies, log_density, log_density_score, slot_table,
-                      slot_values, theta_values, validate_params)
+from .tvmodel import (ModelSpec, ParamVector, _constraint_rows,
+                      active_check_points, box_coordinates, curve_bounds,
+                      frequencies, log_density, log_density_score,
+                      slot_table, slot_values, theta_values, validate_params)
 
 PENALTY_SCALE = 1e3
+# projected_newton: the stopping rule, Armijo's constant, the smallest step
+# length, the iteration cap and the epsilon-active distance (link space);
+# newton_step: the condition limit below which a block counts as singular
+NEWTON_TOL = 1e-15
+ARMIJO = 1e-4
+MIN_STEP = 1e-10
+MAX_ITER = 100
+ACTIVE_EPS = 1e-3
+RCOND = 1e-10
 
 
 class WhittleObjective:
@@ -37,7 +53,9 @@ class WhittleObjective:
 
     Precomputes the slot table at the block midpoints, each curve's box
     and the frequency kernels, so one evaluation is a handful of small
-    vectorized array ops.
+    vectorized array ops.  A call inside the box keeps its I/f for a
+    derivatives() call at the same theta; the values returned depend on
+    theta alone.
     """
 
     def __init__(self, periodogram: LocalPeriodogram, model: ModelSpec):
@@ -53,9 +71,18 @@ class WhittleObjective:
         self._slots = slot_table(model, plan.u)
         self._bounds = [curve_bounds(slot.key) for slot in self._slots]
         self._norm = 1.0 / (4.0 * np.pi * plan.M)
+        # every slot's design in one (block, slot) x coefficient matrix
+        design = np.zeros((plan.M, len(self._slots), model.n_params))
+        for k, slot in enumerate(self._slots):
+            design[:, k, slot.index] = slot.design
+        self._design = design.reshape(-1, model.n_params)
+        # I/f at the last point __call__ saw inside the box: derivatives()
+        # at the same theta reads it instead of rebuilding log f
+        self._last_ratio = (None, None)
 
     def __call__(self, theta) -> float:
-        vals = slot_values(self._slots, theta_values(self.model, theta))
+        values = theta_values(self.model, theta)
+        vals = slot_values(self._slots, values)
         penalty = 0.0
         curves = {}
         for slot, (lo, hi) in zip(self._slots, self._bounds):
@@ -67,24 +94,56 @@ class WhittleObjective:
                 c = clipped
             curves[slot.key] = c[:, None]
         logf = log_density(self._slots, curves, self._freqs)
-        dev = np.negative(logf)
-        np.exp(dev, out=dev)
-        dev *= self.ordinates
-        dev += logf  # log f + I / f
+        ratio = np.negative(logf)
+        np.exp(ratio, out=ratio)
+        ratio *= self.ordinates  # I / f
+        if not penalty:
+            self._last_ratio = (values.tobytes(), ratio)
+        dev = ratio + logf
         return float(self._norm * np.add.reduce(dev @ self._w)
                      + PENALTY_SCALE * penalty)
+
+    def derivatives(self, theta) -> "Derivatives":
+        """Gradient, Hessian and Gauss-Newton matrix of L inside the feasible
+        polytope (no clip, no penalty), from one score assembly:
+
+            g  = norm sum_j sum_k w (1 - I/f) s
+            H  = norm sum_j sum_k w [(I/f) s s' + (1 - I/f) d2 log f]
+            GN = norm sum_j sum_k w (I/f) s s'
+
+        with s = dlog f/dtheta.  d2 log f is block-diagonal by curve,
+        design' diag(d2 log f / d eta^2) design (log_density_score).  GN,
+        the first part of H, is positive semidefinite.
+        """
+        values = theta_values(self.model, theta)
+        key, ratio = self._last_ratio
+        if key != values.tobytes():
+            curves = {k: c[:, None]
+                      for k, c in slot_values(self._slots, values).items()}
+            ratio = self.ordinates * np.exp(-log_density(self._slots, curves,
+                                                         self._freqs))
+        score, curvature = log_density_score(self._slots, values,
+                                             self._freqs, second=True)
+        score = score.reshape(len(values), -1)
+        resid = (1.0 - ratio) * self._w
+        gauss_newton = (score * (ratio * self._w).ravel()) @ score.T
+        r = (curvature * resid).sum(axis=2).T.reshape(-1, 1)
+        hessian = gauss_newton + self._design.T @ (r * self._design)
+        return Derivatives(self._norm * (score @ resid.ravel()),
+                           self._norm * hessian, self._norm * gauss_newton)
 
     def gradient(self, theta) -> np.ndarray:
         """norm sum_j sum_k w_k (1 - I/f) dlog f/dtheta: the gradient of L
         inside the feasible polytope (no clip, no penalty)."""
-        values = theta_values(self.model, theta)
-        curves = {k: c[:, None]
-                  for k, c in slot_values(self._slots, values).items()}
-        logf = log_density(self._slots, curves, self._freqs)
-        resid = 1.0 - self.ordinates * np.exp(-logf)
-        score = log_density_score(self._slots, values, self._freqs)
-        return self._norm * (score.reshape(len(values), -1)
-                             @ (resid * self._w).ravel())
+        return self.derivatives(theta).gradient
+
+
+class Derivatives(NamedTuple):
+    """First and second derivatives of L at one theta (derivatives())."""
+
+    gradient: np.ndarray
+    hessian: np.ndarray
+    gauss_newton: np.ndarray  # the (I/f)-weighted part of the Hessian, PSD
 
 
 @dataclass(frozen=True)
@@ -95,7 +154,8 @@ class FitResult:
     evaluations: int
     converged: bool
     plan: BlockPlan
-    message: str = ""  # the optimizer's stopping message
+    message: str = ""  # the stopping rule that fired
+    active: tuple = ()  # (curve, u) of each check point left on a bound
 
 
 def starting_point(model: ModelSpec, data: np.ndarray) -> np.ndarray:
@@ -116,12 +176,109 @@ def starting_point(model: ModelSpec, data: np.ndarray) -> np.ndarray:
 
 
 def fit_objective(objective: WhittleObjective, x0):
-    """scipy's SLSQP run from x0 on the analytic gradient, constrained to
-    the model's rows lo <= A theta <= hi; returns its OptimizeResult."""
+    """Minimize the objective from x0 over the model's feasible set;
+    returns an OptimizeResult (x, fun, nit, nfev, success, message).
+
+    A model whose feasible set is a box in box_coordinates runs
+    projected_newton.  Any other model (a harmonic curve, a polynomial of
+    degree >= 2) runs scipy's SLSQP on the analytic gradient, constrained
+    to the model's rows lo <= A theta <= hi.
+    """
+    box = box_coordinates(objective.model)
+    if box is not None:
+        return projected_newton(objective, x0, box)
     A, lo, hi = _constraint_rows(objective.model)[:3]
     return minimize(objective, x0, jac=objective.gradient, method="SLSQP",
                     constraints=[LinearConstraint(A, lo, hi)],
                     options={"ftol": 1e-12})
+
+
+def projected_newton(objective: WhittleObjective, x0, box) -> OptimizeResult:
+    """Projected Newton on the exact Hessian (Bertsekas 1982, SIAM J.
+    Control Optim. 20:221) in the box coordinates z = B theta, lo <= z <= hi.
+
+    From z = clip(B x0, lo, hi), each iteration splits the coordinates:
+    one is epsilon-active when the gradient pushes it toward a bound no
+    farther than min(ACTIVE_EPS, its gradient step scaled by the
+    Gauss-Newton diagonal).  The free ones take a Newton step
+    (newton_step), the active ones that scaled gradient step, and the step
+    length backtracks by halves along the projection arc
+    clip(z + alpha d, lo, hi) until the Armijo test holds.  Every trial
+    point is evaluated by calling the objective, so nfev counts objective
+    calls.  The fit converges when the free coordinates' Newton decrement
+    is <= NEWTON_TOL and every active coordinate is on its bound: it takes
+    that last step in full and stops.  A step length below MIN_STEP,
+    MAX_ITER iterations or non-finite derivatives stop it unconverged.
+    """
+    B, B_inv, lo, hi = box
+    z = np.minimum(np.maximum(B @ np.asarray(x0, dtype=float), lo), hi)
+    fz = objective(B_inv @ z)
+    nfev = 1
+
+    def result(nit, success, message):
+        return OptimizeResult(x=B_inv @ z, fun=fz, nit=nit, nfev=nfev,
+                              success=success, message=message)
+
+    for nit in range(MAX_ITER):
+        g, H, gn = objective.derivatives(B_inv @ z)
+        if not np.isfinite(H).all():  # I/f overflows: data out of range
+            return result(nit, False, "derivatives not finite")
+        g, H, gn = g @ B_inv, B_inv.T @ H @ B_inv, B_inv.T @ gn @ B_inv
+        diag = gn.diagonal()
+        scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))  # 1 where I/f = 0
+        d = -g / (scale * scale)  # the diagonally scaled gradient step
+        towards = np.where(g > 0.0, z - lo, hi - z)  # to the bound g pushes at
+        active = towards <= np.minimum(ACTIVE_EPS, np.abs(d))
+        free = ~active
+        d[free], decrement = newton_step(H[free][:, free], gn[free][:, free],
+                                         g[free], scale[free])
+        if decrement <= NEWTON_TOL and not towards[active].any():
+            # The last step is taken without a line search: the drop it
+            # promises is below the rounding of L, and after it dL/dz is at
+            # rounding level.
+            z = np.minimum(np.maximum(z + d, lo), hi)
+            fz = objective(B_inv @ z)
+            nfev += 1
+            return result(nit + 1, True, f"Newton decrement <= {NEWTON_TOL:g}")
+        alpha = 1.0
+        while True:
+            trial = np.minimum(np.maximum(z + alpha * d, lo), hi)
+            f_trial = objective(B_inv @ trial)
+            nfev += 1
+            drop = alpha * decrement + g[active] @ (z - trial)[active]
+            if f_trial <= fz - ARMIJO * drop:
+                break
+            alpha *= 0.5
+            if alpha < MIN_STEP:
+                return result(nit, False, "line search stalled")
+        z, fz = trial, f_trial
+    return result(MAX_ITER, False, f"iteration limit ({MAX_ITER}) reached")
+
+
+def newton_step(H, gn, g, scale):
+    """The step d = -H^-1 g on a block and its Newton decrement -g'd.
+
+    Scaled by 1 / scale on both sides (scale^2 is gn's diagonal, or 1
+    where that is 0), H is used when positive definite (condition better
+    than 1 / RCOND), else gn (positive semidefinite).  A singular gn gives the least-squares step on its
+    range plus the scaled gradient step off it, so the step vanishes only
+    with the gradient.
+    """
+    if not g.size:
+        return g, 0.0
+    g = g / scale
+    for matrix in (H, gn):
+        lam, vec = np.linalg.eigh(matrix / np.outer(scale, scale))
+        if lam[0] > RCOND * lam[-1]:
+            rest = np.zeros_like(g)
+            break
+    else:
+        keep = lam > RCOND * lam[-1]
+        lam, vec = lam[keep], vec[:, keep]
+        rest = g - vec @ (g @ vec)  # the gradient off gn's range
+    proj = g @ vec
+    newton = proj / lam
+    return -(vec @ newton + rest) / scale, proj @ newton + rest @ rest
 
 
 def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,
@@ -129,7 +286,8 @@ def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,
     """Minimize the blockwise Whittle objective: one fit_objective run from
     the documented starting point (or ``start``).  ``converged`` is the
     optimizer's success flag and final-point feasibility (validate_params);
-    ``evaluations`` counts objective calls, not gradient calls."""
+    ``evaluations`` counts objective calls, not derivative calls;
+    ``active`` is active_check_points at the fit."""
     data = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite values")
@@ -148,18 +306,22 @@ def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,
         converged=bool(res.success and validate_params(model, res.x).feasible),
         plan=plan,
         message=str(res.message),
+        active=active_check_points(model, res.x),
     )
 
 
 def fit_summary(fit: FitResult) -> str:
     """Plain-text block: convergence, objective, iterations, evaluations,
-    the stopping message and the plan, then one line per coefficient."""
+    the stopping rule, the check points on a bound (``active: d at u=1``,
+    or ``none``) and the plan, then one line per coefficient."""
+    active = ", ".join(f"{key} at u={u:g}" for key, u in fit.active)
     lines = [
         f"converged: {str(fit.converged).lower()}",
         f"objective: {fit.objective:.17g}",
         f"iterations: {fit.iterations}",
         f"evaluations: {fit.evaluations}",
         f"stopped: {fit.message}",
+        f"active: {active or 'none'}",
         f"plan: T={fit.plan.T} N={fit.plan.N} S={fit.plan.S} M={fit.plan.M}",
     ]
     for name, value in zip(fit.theta.names, fit.theta.values):

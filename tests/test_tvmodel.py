@@ -9,9 +9,9 @@ from lswhittle import (BasisSpec, CurveSpec, InfeasibleParameterError,
                        spectral_density, validate_params)
 from lswhittle.asymptotics import catalog_model
 from lswhittle.tvmodel import (D_HIGH, D_LOW, FEASIBILITY_TOL, LOG_2PI, U_RULE,
-                               curve_bounds,
-                               frequencies, log_density, slot_table,
-                               slot_values)
+                               active_check_points, box_coordinates,
+                               curve_bounds, frequencies, log_density,
+                               slot_table, slot_values)
 
 from oracles import fd_gradient
 
@@ -178,6 +178,15 @@ class TestValidateParams:
         assert not report.feasible
         assert report.violations[0][3] == D_HIGH
 
+    def test_active_check_points(self):
+        # check points within FEASIBILITY_TOL of a bound, by curve and u
+        model = table_model()
+        assert active_check_points(model, [0.15, 0.20, 0.5, 0.3, 0.5]) == ()
+        theta = [0.2, D_HIGH - 0.2 + 1e-13, 0.5, 0.3, -1.0 + 1e-6]
+        assert validate_params(model, theta).feasible
+        assert active_check_points(model, theta) == (
+            ("d", 1.0), ("ma1", 0.0), ("ma1", 1.0))
+
     def test_require_feasible_raises(self):
         model = lsfn_model()
         with pytest.raises(InfeasibleParameterError):
@@ -189,6 +198,38 @@ class TestValidateParams:
         npt.assert_allclose(vals["d"], [0.15, 0.35])
         npt.assert_allclose(vals["sigma"], [0.5, 0.8])
         npt.assert_allclose(vals["ma1"], [0.5, 0.5])
+
+
+class TestBoxCoordinates:
+    @pytest.mark.parametrize("family",
+                             ["example2", "example3", "example5", "sec4"])
+    def test_box_is_the_feasible_set(self, family):
+        # lo <= B theta <= hi holds exactly where validate_params accepts
+        model = catalog_model(family)
+        B, B_inv, lo, hi = box_coordinates(model)
+        npt.assert_allclose(B @ B_inv, np.eye(model.n_params), atol=1e-15)
+        rng = np.random.default_rng(3)
+        seen = set()
+        a, b = np.maximum(lo, -2.0), np.minimum(hi, 2.0)
+        for _ in range(400):
+            z = a + (b - a) * rng.uniform(-0.1, 1.1, len(lo))
+            inside = bool(np.all((lo <= z) & (z <= hi)))
+            assert validate_params(model, B_inv @ z).feasible == inside
+            seen.add(inside)
+        assert seen == {False, True}
+
+    def test_unbounded_coefficients_get_unit_rows(self):
+        # a log-link sigma has no constraint row: its coefficients are free
+        B, _, lo, hi = box_coordinates(catalog_model("example3"))
+        npt.assert_array_equal(B[2:], np.eye(4)[2:])
+        assert np.all(np.isinf(lo[2:])) and np.all(np.isinf(hi[2:]))
+
+    @pytest.mark.parametrize("model", [
+        catalog_model("harmonic"),
+        lsfn_model(d_degree=2),
+    ], ids=["harmonic-d", "quadratic-d"])
+    def test_none_beyond_degree_one(self, model):
+        assert box_coordinates(model) is None
 
 
 class TestSpectralDensity:

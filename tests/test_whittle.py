@@ -1,11 +1,12 @@
-"""Blockwise Whittle objective, its gradient, and SLSQP estimation."""
+"""Blockwise Whittle objective, its derivatives, and estimation: projected
+Newton in box coordinates, SLSQP for every other model."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.optimize import LinearConstraint, minimize, minimize_scalar
 
 from lswhittle import (BasisSpec, CurveSpec, ModelSpec, mcharness, simulator,
                        spectral, spectral_density, tvmodel, whittle)
@@ -265,6 +266,26 @@ class TestGradient:
                                    rtol=1e-6)
 
 
+class TestHessian:
+    @pytest.mark.parametrize("family", sorted(CATALOG_CENTRES))
+    @pytest.mark.parametrize("n,s", [(32, 16), (33, 19)])  # even and odd N
+    def test_matches_central_differences_of_gradient(self, family, n, s):
+        model = catalog_model(family)
+        centre = np.array(CATALOG_CENTRES[family])
+        data = sim(ma_model(), SEC4_TRUTH, 128, seed=4)
+        obj, _ = make_objective(model, data, spectral.make_plan(128, n, s))
+        grad, hess, gauss_newton = obj.derivatives(centre)
+        np.testing.assert_array_equal(grad, obj.gradient(centre))
+        fd = np.array([fd_gradient(lambda x: obj.gradient(x)[i], centre,
+                                   step=1e-6)
+                       for i in range(len(centre))])
+        np.testing.assert_allclose(hess, fd, rtol=1e-6,
+                                   atol=1e-9 * np.abs(fd).max())
+        # the Gauss-Newton part is symmetric positive semidefinite
+        np.testing.assert_allclose(gauss_newton, gauss_newton.T, atol=1e-15)
+        assert np.linalg.eigvalsh(gauss_newton).min() >= 0.0
+
+
 class TestStartingPoint:
     def test_documented_start(self):
         model = ma_model()
@@ -288,8 +309,8 @@ class TestStartingPoint:
 class TestEstimate:
     def test_recovers_synthetic_fixed_point(self):
         # The population objective built from exact density ordinates is
-        # minimized at the generating parameters; the fit's SLSQP run, from
-        # the documented start and from a perturbed one, comes home to them.
+        # minimized at the generating parameters; the fit, from the
+        # documented start and from a perturbed one, comes home to them.
         model = ma_model()
         theta_star = np.array([0.15, 0.20, 0.5, 0.3, 0.5])
         plan = spectral.make_plan(512, 104, 34)
@@ -300,7 +321,7 @@ class TestEstimate:
         for start in starts:
             res = whittle.fit_objective(obj, start)
             assert res.success, res.message
-            np.testing.assert_allclose(res.x, theta_star, rtol=0.0, atol=1e-6)
+            np.testing.assert_allclose(res.x, theta_star, rtol=0.0, atol=1e-8)
 
     def test_estimate_runs_and_converges(self):
         model = ma_model()
@@ -328,17 +349,21 @@ class TestEstimate:
         assert fit1.objective == fit2.objective
 
     def test_scale_equivariance(self):
-        # Doubling the data doubles sigma(u) and leaves d, theta1 alone.
+        # Doubling the data doubles sigma(u) and leaves d, theta1 alone: on
+        # one path of its own and on the first 4 of AC7's seed.
         model = ma_model()
         theta = [0.15, 0.20, 0.5, 0.3, 0.5]
-        data = sim(model, theta, 512, seed=11)
+        paths = [sim(model, theta, 512, seed=11),
+                 *mcharness.simulate_paths(model, theta, 512, 4, 20260814)]
         plan = spectral.make_plan(512, 104, 34)
         taper = spectral.taper_weights("cosine", 104)
-        fit1 = whittle.estimate(data, model, plan, taper)
-        fit2 = whittle.estimate(2.0 * data, model, plan, taper)
-        v1, v2 = fit1.theta.values, fit2.theta.values
-        np.testing.assert_allclose(v2[[0, 1, 4]], v1[[0, 1, 4]], atol=1e-5)
-        np.testing.assert_allclose(v2[2:4], 2.0 * v1[2:4], rtol=1e-5)
+        for data in paths:
+            fit1 = whittle.estimate(data, model, plan, taper)
+            fit2 = whittle.estimate(2.0 * data, model, plan, taper)
+            v1, v2 = fit1.theta.values, fit2.theta.values
+            np.testing.assert_allclose(v2[[0, 1, 4]], v1[[0, 1, 4]],
+                                       rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(v2[2:4], 2.0 * v1[2:4], rtol=1e-10)
 
     def test_explicit_start_accepted(self):
         model = fn_model(d_degree=0, s_degree=0)
@@ -347,6 +372,24 @@ class TestEstimate:
         taper = spectral.taper_weights("cosine", 32)
         fit = whittle.estimate(data, model, plan, taper, start=[0.2, 0.7])
         assert fit.converged
+
+    @pytest.mark.parametrize("model,truth", [
+        (catalog_model("harmonic"), CATALOG_CENTRES["harmonic"]),
+        (ModelSpec(d=CurveSpec(BasisSpec("polynomial", 2)),
+                   sigma=CurveSpec(POLY1)), [0.2, 0.1, -0.05, 0.8, 0.1]),
+    ], ids=["harmonic-d", "quadratic-d"])
+    def test_models_without_box_coordinates(self, model, truth):
+        # no box exists for these curves, so the fit is SLSQP on the rows
+        assert tvmodel.box_coordinates(model) is None
+        data = sim(model, truth, 256, seed=12)
+        plan = spectral.make_plan(256, 64, 32)
+        taper = spectral.taper_weights("cosine", 64)
+        fit = whittle.estimate(data, model, plan, taper)
+        assert fit.converged, fit.message
+        assert tvmodel.validate_params(model, fit.theta).feasible
+        obj = whittle.WhittleObjective(
+            spectral.local_periodogram(data, plan, taper), model)
+        assert fit.objective <= obj(truth)
 
     def test_evaluations_count_objective_calls(self, monkeypatch):
         calls = []
@@ -416,14 +459,130 @@ class TestArgmin:
             assert_not_above_truth(sec4_case, data, fit)
 
     def test_median_evaluations(self, ac7_fits):
-        # 21 with SLSQP on the analytic gradient
-        assert np.median([fit.evaluations for _, fit in ac7_fits]) <= 60
+        # 21 with SLSQP on the analytic gradient, 9 with projected Newton
+        assert np.median([fit.evaluations for _, fit in ac7_fits]) <= 20
 
     def test_fits_are_feasible_and_converged(self, sec4_case, ac7_fits):
         model = sec4_case[0]
         for _, fit in ac7_fits:
             assert tvmodel.validate_params(model, fit.theta).feasible
             assert fit.converged, fit.message
+
+    def test_not_above_slsqp(self, sec4_case, ac7_fits):
+        model, plan, taper = sec4_case
+        for data, fit in ac7_fits:
+            obj, _ = make_objective(model, data, plan)
+            ref = slsqp(obj, whittle.starting_point(model, data))
+            assert fit.objective <= ref.fun + 1e-12
+
+    @pytest.mark.parametrize("family",
+                             ["example2", "example3", "example5", "sec4"])
+    def test_first_order_point_in_box_coordinates(self, sec4_case, family):
+        # the projected gradient step vanishes: |z - clip(z - dL/dz)| = 0
+        model = catalog_model(family)
+        B, B_inv, lo, hi = tvmodel.box_coordinates(model)
+        _, plan, taper = sec4_case
+        for data in mcharness.simulate_paths(sec4_case[0], SEC4_TRUTH, 512,
+                                             8, 20260814):
+            fit = whittle.estimate(data, model, plan, taper)
+            assert fit.converged, fit.message
+            obj, _ = make_objective(model, data, plan)
+            z = B @ fit.theta.values
+            grad_z = obj.gradient(fit.theta.values) @ B_inv
+            assert np.abs(z - np.clip(z - grad_z, lo, hi)).max() <= 1e-8
+
+    def test_single_block_plan(self):
+        # With M = 1 the slopes are not identified: the Hessian's free
+        # block is singular, and the fit takes a least-squares step.
+        model = catalog_model("sec4")
+        data = sim(model, SEC4_TRUTH, 128, seed=7)
+        plan = spectral.make_plan(128, 128, 128)
+        fit = whittle.estimate(data, model, plan,
+                               spectral.taper_weights("cosine", 128))
+        assert plan.M == 1 and fit.converged, fit.message
+        assert tvmodel.validate_params(model, fit.theta).feasible
+        obj, _ = make_objective(model, data, plan)
+        ref = slsqp(obj, whittle.starting_point(model, data))
+        assert abs(fit.objective - ref.fun) <= 1e-10
+
+    def test_active_lists_check_points_on_a_bound(self, sec4_case, ac7_fits):
+        # 11 of these 16 fits end with d on a bound at u = 0 or 1
+        model = sec4_case[0]
+        on_bound = [fit for _, fit in ac7_fits if fit.active]
+        assert len(on_bound) >= 8
+        for _, fit in ac7_fits:
+            d = tvmodel.curve_values(model, fit.theta, [0.0, 1.0])["d"]
+            edge = np.minimum(np.abs(d - tvmodel.D_LOW),
+                              np.abs(d - tvmodel.D_HIGH)) <= 1e-12
+            assert fit.active == tuple(("d", u) for u, e in
+                                       zip((0.0, 1.0), edge) if e)
+        text = whittle.fit_summary(on_bound[0])
+        assert "\nactive: d at u=" in text
+
+
+class TestStoppingRules:
+    @pytest.fixture
+    def case(self):
+        model = catalog_model("sec4")
+        data = sim(model, SEC4_TRUTH, 256, seed=5)
+        obj, _ = make_objective(model, data, spectral.make_plan(256, 64, 32))
+        return obj, whittle.starting_point(model, data)
+
+    def test_newton_decrement(self, case):
+        res = whittle.fit_objective(*case)
+        assert res.success and res.message == "Newton decrement <= 1e-15"
+
+    def test_iteration_limit(self, case, monkeypatch):
+        monkeypatch.setattr(whittle, "MAX_ITER", 2)
+        res = whittle.fit_objective(*case)
+        assert not res.success and res.nit == 2
+        assert res.message == "iteration limit (2) reached"
+
+    @staticmethod
+    def patch_derivatives(monkeypatch, change):
+        derivatives = whittle.WhittleObjective.derivatives
+        monkeypatch.setattr(whittle.WhittleObjective, "derivatives",
+                            lambda self, theta: change(derivatives(self, theta)))
+
+    def test_line_search_stall(self, case, monkeypatch):
+        # an ascent direction never passes the Armijo test
+        obj, x0 = case
+        self.patch_derivatives(
+            monkeypatch, lambda d: d._replace(gradient=-d.gradient))
+        res = whittle.fit_objective(obj, x0)
+        assert not res.success and res.message == "line search stalled"
+        assert res.fun == obj(x0)
+
+    def test_derivatives_not_finite(self, case, monkeypatch):
+        obj, x0 = case
+        self.patch_derivatives(
+            monkeypatch, lambda d: d._replace(hessian=d.hessian * np.nan))
+        res = whittle.fit_objective(obj, x0)
+        assert not res.success and res.message == "derivatives not finite"
+        assert res.nit == 0 and res.fun == obj(x0)
+
+    def test_zero_gauss_newton_matrix(self):
+        # With I = 0 the Gauss-Newton matrix is zero and H is not positive
+        # definite: the fit takes gradient steps and must not raise.
+        model = catalog_model("sec4")
+        data = np.zeros(256)
+        plan = spectral.make_plan(256, 64, 32)
+        fit = whittle.estimate(data, model, plan,
+                               spectral.taper_weights("cosine", 64))
+        assert fit.converged, fit.message
+        obj, _ = make_objective(model, data, plan)
+        with np.errstate(invalid="ignore"):  # SLSQP steps to sigma < 0 here
+            ref = slsqp(obj, whittle.starting_point(model, data))
+        assert fit.objective <= ref.fun
+
+
+def slsqp(obj, x0):
+    """scipy's SLSQP on the objective and its gradient, inside the model's
+    constraint rows."""
+    A, lo, hi = tvmodel._constraint_rows(obj.model)[:3]
+    return minimize(obj, x0, jac=obj.gradient, method="SLSQP",
+                    constraints=[LinearConstraint(A, lo, hi)],
+                    options={"ftol": 1e-12})
 
 
 class TestFitReports:
@@ -438,6 +597,7 @@ class TestFitReports:
         assert "plan: T=96 N=32 S=32 M=3" in text
         assert f"evaluations: {fit.evaluations}" in text
         assert fit.message and f"stopped: {fit.message}\n" in text
+        assert "active: none\n" in text
         path = tmp_path / "fit.csv"
         whittle.write_fit_csv(fit, path)
         lines = path.read_text().strip().split("\n")
