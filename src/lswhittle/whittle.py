@@ -15,9 +15,10 @@ there.
 The fit (fit_objective) searches the model's feasible polytope
 (tvmodel._constraint_rows), where L is the sum above.  Where that polytope
 is a box in the coordinates tvmodel.box_coordinates gives (the endpoint
-values of degree <= 1 polynomial curves: every catalog model), the fit is
-projected Newton on the exact Hessian of L (WhittleObjective.derivatives);
-for any other model it is scipy's SLSQP inside the constraint rows.
+values of degree <= 1 polynomial curves: every catalog model but
+`harmonic`), the fit is projected Newton on the exact Hessian of L
+(WhittleObjective.derivatives); for any other model, `harmonic` included,
+it is scipy's SLSQP inside the constraint rows.
 Outside the polytope curve values are clipped into the box before
 assembling f, and the squared clip distance (times a fixed scale) is added,
 so L is finite everywhere, continuous, pure, and deterministic.
@@ -293,11 +294,15 @@ def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,
         raise ValueError("data contains non-finite values")
     if len(data) != plan.T:
         raise ValueError(f"data length {len(data)} != plan.T {plan.T}")
-    pg = local_periodogram(data, plan, taper)
-    objective = WhittleObjective(pg, model)
-    x0 = starting_point(model, data) if start is None else \
-        theta_values(model, start)
-    res = fit_objective(objective, x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pg = local_periodogram(data, plan, taper)
+        x0 = starting_point(model, data) if start is None else \
+            theta_values(model, start)
+    if not (np.all(np.isfinite(pg.ordinates)) and np.all(np.isfinite(x0))):
+        raise ValueError(
+            f"data of scale {np.max(np.abs(data)):.3g} overflow the "
+            "periodogram or the sample SD; divide the series by a constant")
+    res = fit_objective(WhittleObjective(pg, model), x0)
     return FitResult(
         theta=model.make_params(res.x),
         objective=float(res.fun),

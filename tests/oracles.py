@@ -27,6 +27,24 @@ def arfima01_acv(d, theta, k):
             - theta * fn_acv(d, abs(k - 1)) - theta * fn_acv(d, k + 1))
 
 
+def mp_covariance(ds, dt, ss, st, vt, k):
+    """E[Y_s Y_t] of the simulator's family at lag k >= 0, in 40 digits.
+
+    The closed form in the ``lswhittle.simulator`` docstring with mpmath's
+    gamma functions; the float arguments are taken as exact.  Needs mpmath.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        ds, dt, vt = mpmath.mpf(ds), mpmath.mpf(dt), mpmath.mpf(vt)
+        ratio = mpmath.exp(mpmath.loggamma(k + ds) - mpmath.loggamma(k + 1 - dt))
+        value = (mpmath.gamma(1 - ds - dt) * ratio
+                 / (mpmath.gamma(1 - ds) * mpmath.gamma(ds)))
+        bracket = (1 + vt * vt - vt * (k - dt) / (k - 1 + ds)
+                   - vt * (k + ds) / (k + 1 - dt))
+        return value * bracket * mpmath.mpf(ss) * mpmath.mpf(st)
+
+
 def naive_periodogram(block, h, lam):
     """Tapered periodogram of one block by direct double summation."""
     n = len(block)

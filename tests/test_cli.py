@@ -195,6 +195,24 @@ class TestEstimate:
         assert lines[0] == "block,u,freq,ordinate"
         assert len(lines) == 1 + 3 * 16  # M=3 blocks, N=32 -> 16 ordinates
 
+    def test_data_of_overflowing_scale_exits_2(self, base_cfg, tmp_path,
+                                               capsys):
+        series = tmp_path / "y.csv"
+        assert main(["simulate", "--config", base_cfg, "--out",
+                     str(series)]) == 0
+        huge = tmp_path / "huge.csv"
+        data = simulator.read_series_csv(series) * 1e160
+        simulator.write_series_csv(data, huge)
+        capsys.readouterr()
+        out = tmp_path / "fit.csv"
+        assert main(["estimate", "--config", base_cfg, "--data", str(huge),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: data of scale {np.max(np.abs(data)):.3g} overflow")
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
     def test_missing_data_file(self, base_cfg):
         assert main(["estimate", "--config", base_cfg,
                      "--data", "/nonexistent.csv"]) == 2
@@ -438,12 +456,15 @@ def processes_with(marker: str) -> list:
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
 @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
 def test_sigterm_ends_grid_and_its_workers(tmp_path):
-    # 72 cells of 4 fits each: far longer than the test waits.  SIGTERM
+    # 72 cells of 100 fits each: left alone, the grid runs on for 6.8-7.3 s
+    # after both workers appear (2-core host), so an exit with status 0
+    # means the signal was ignored.  More fits would cost every repetition:
+    # the exit waits for the fits already queued to the workers.  SIGTERM
     # goes out as soon as both workers appear, while the pool may still be
     # starting; a handler firing there is a rare race, so it is repeated.
     cfg = tmp_path / "long.cfg"
     cfg.write_text("d.coeffs = 0.2, 0.1\nsigma.coeffs = 0.7, 0.1\n"
-                   "mc.T = 256\nmc.seed = 3\nmc.reps = 4\n"
+                   "mc.T = 256\nmc.seed = 3\nmc.reps = 100\n"
                    "grid.N = 16:64:2\ngrid.S = 1:4\n")
     marker = str(cfg)
     for _ in range(20):

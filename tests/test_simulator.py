@@ -1,16 +1,19 @@
 """Closed-form covariance, innovations factorization, path generation, CSV."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gamma
 
 from lswhittle import (BasisSpec, ConfigError, CurveSpec,
-                       InfeasibleParameterError, ModelSpec, simulator)
+                       InfeasibleParameterError, ModelSpec, catalog_model,
+                       curve_values, simulator)
+from lswhittle.tvmodel import D_HIGH, D_LOW, theta_values
 
-from oracles import arfima01_acv, fn_acv, naive_innovations
+from oracles import arfima01_acv, fn_acv, mp_covariance, naive_innovations
 
 POLY0 = BasisSpec("polynomial", 0)
 POLY1 = BasisSpec("polynomial", 1)
@@ -102,34 +105,79 @@ class TestCovariance:
     @pytest.mark.parametrize("T", [simulator.ROW_BLOCK - 1,
                                    simulator.ROW_BLOCK,
                                    simulator.ROW_BLOCK + 1, 300])
-    def test_kernel_matches_one_shot_construction(self, T):
-        # The row-block fill must give the bits of the closed form
-        # evaluated once over the whole lower triangle, at block edges too.
+    def test_kernel_matches_one_block_recurrence(self, T):
+        # The row-block fill must give the bits of the product recurrences
+        # run once over the whole matrix, at block edges too: the column
+        # products are carried from block to block in the same order.
         model = ma_model()
         theta = [0.05, 0.40, 0.5, 0.6, 0.5]
         K = simulator.make_kernel(model, theta, T).matrix()
         u = np.arange(1, T + 1) / T
         d, sig = 0.05 + 0.40 * u, 0.5 + 0.6 * u
-        rows, cols = np.tril_indices(T)
-        ds, dt = d[rows], d[cols]
-        k = (rows - cols).astype(float)
+        s, t = np.indices((T, T))
+        ds, dt = d[:, None], d[None, :]
+        k = (s - t).astype(float)
         vt = 0.5
-        log_fn = (gammaln(1.0 - ds - dt) + gammaln(k + ds)
-                  - gammaln(1.0 - ds) - gammaln(ds) - gammaln(k + 1.0 - dt))
         bracket = (1.0 + vt * vt
                    - vt * (k - dt) / (k - 1.0 + ds)
                    - vt * (k + ds) / (k + 1.0 - dt))
-        vals = np.exp(log_fn) * bracket
-        vals *= sig[rows] * sig[cols]
-        want = np.zeros((T, T))
-        want[rows, cols] = vals
-        want[cols, rows] = vals
+        step = np.maximum(k, 1.0)
+        down = np.where(s > t, (k - dt) / step, 1.0)
+        left = np.where(s > t, (k - 1.0 + ds) / step, 1.0)
+        g = gamma(1.0 - d)
+        np.fill_diagonal(down, g / sig)
+        np.fill_diagonal(left, sig / g)
+        beta = np.cumprod(down, axis=0)
+        alpha = np.cumprod(left[:, ::-1], axis=1)[:, ::-1]
+        want = bracket * gamma(1.0 - ds - dt) * alpha / beta
+        want = np.where(s >= t, want, want.T)
         np.testing.assert_array_equal(K, want)
         np.testing.assert_array_equal(K, K.T)
         state = simulator.innovations_decompose(
             simulator.make_kernel(model, theta, T))
         L, v = state.coeffs, state.variances
         np.testing.assert_allclose((L * v) @ L.T, K, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [
+        [0.15, 0.20, 0.5, 0.3, 0.5],
+        [D_LOW, D_HIGH - D_LOW, 0.5, 0.3, 0.95],
+        [D_HIGH, D_LOW - D_HIGH, 0.5, 0.3, -0.95]],
+        ids=["sec4-truth", "d-rising-vt+0.95", "d-falling-vt-0.95"])
+    def test_kernel_entries_match_40_digit_arithmetic(self, theta):
+        # At T = 2048 the log-gamma form is off by up to 5e-12 relative at
+        # long lags; the product recurrences stay within 2e-13.
+        pytest.importorskip("mpmath")
+        model = catalog_model("sec4")
+        T = 2048
+        K = simulator.make_kernel(model, theta, T).matrix()
+        cs = curve_values(model, theta_values(model, theta),
+                          np.arange(1, T + 1) / T)
+        d, sig = cs["d"], cs["sigma"]
+        rng = np.random.default_rng(7)
+        s = rng.integers(0, T, 300)
+        t = (rng.random(300) * (s + 1)).astype(int)
+        positions = ([(0, 0), (T - 1, T - 1)] + list(zip(s, t))
+                     + [(T - 1, j) for j in range(0, T, 16)])
+        worst = 0.0
+        for i, j in positions:
+            want = mp_covariance(d[i], d[j], sig[i], sig[j], theta[4], i - j)
+            worst = max(worst, abs(float((K[i, j] - want) / want)))
+        assert worst <= 1e-12
+
+    def test_kernel_builds_in_one_matrix_of_memory(self):
+        # One T x T array plus the four ROW_BLOCK x T work arrays and room
+        # for 64 length-T vectors (curves, lags and their temporaries; about
+        # 43 are used): no second matrix, no T x T temporaries.
+        T = 1024
+        kernel = simulator.make_kernel(ma_model(),
+                                       [0.05, 0.40, 0.5, 0.6, 0.5], T)
+        tracemalloc.start()
+        try:
+            K = kernel.matrix()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= K.nbytes + 8 * T * (4 * simulator.ROW_BLOCK + 64)
 
     def test_kernel_positive_definite(self):
         K = simulator.make_kernel(ma_model(), [0.15, 0.20, 0.5, 0.3, 0.5],

@@ -1,6 +1,8 @@
 """Blockwise Whittle objective, its derivatives, and estimation: projected
 Newton in box coordinates, SLSQP for every other model."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +338,20 @@ class TestEstimate:
             whittle.WhittleObjective(
                 spectral.local_periodogram(data, plan, taper),
                 model)(fit.theta.values), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_refuses_data_whose_squares_overflow(self, scale):
+        # Finite data whose squares overflow float64 are refused with their
+        # scale named, before the fit, and without a floating-point warning.
+        model = ma_model()
+        data = sim(model, [0.15, 0.20, 0.5, 0.3, 0.5], 256, seed=5) * scale
+        plan = spectral.make_plan(256, 64, 32)
+        taper = spectral.taper_weights("cosine", 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"data of scale {np.max(np.abs(data)):.3g} overflow")):
+                whittle.estimate(data, model, plan, taper)
 
     def test_estimate_deterministic(self):
         model = fn_model()
