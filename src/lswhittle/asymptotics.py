@@ -21,9 +21,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotPositiveDefiniteError
-from .tvmodel import (LINKS, U_RULE, BasisSpec, CurveSpec, ModelSpec,
-                      gauss_legendre, log_spectral_gradient_grid, read_only,
-                      require_feasible, slot_table, theta_values)
+from .tvmodel import (U_RULE, BasisSpec, CurveSpec, ModelSpec, curve_kernels,
+                      frequencies, gauss_legendre, log_spectral_gradient_grid,
+                      read_only, require_feasible, slot_table, theta_values)
 
 PI2_6 = np.pi ** 2 / 6.0
 SPD_FLOOR = 1e-12   # smallest over largest eigenvalue of an accepted Gamma
@@ -44,6 +44,8 @@ def _lambda_rule():
 
 
 _LAMBDA_RULE = _lambda_rule()
+_LAMBDA_KERNELS = frequencies(_LAMBDA_RULE[0])  # the lam rule's kernels
+read_only(*_LAMBDA_KERNELS)
 
 
 def lambda_mesh():
@@ -84,21 +86,20 @@ def gamma_quadrature(model: ModelSpec, theta) -> GammaMatrix:
     """Fisher matrix by tensor quadrature over u in (0,1), lam in (0,pi).
 
     Refuses an infeasible theta as require_feasible does.  The score is
-    built _U_BLOCK u nodes at a time, scaled by the square roots of the
-    weights and contracted by one Gram product per block, so only one
-    block of the grid is held at once.
+    built _U_BLOCK u nodes at a time (tables and lam kernels built once),
+    scaled by the square roots of the weights and contracted by one Gram
+    product per block, so only one block of the grid is held at once.
     """
     values = theta_values(model, theta)
     require_feasible(model, values)
-    xu, wu = U_RULE
-    xl, wl = _LAMBDA_RULE
+    root_wu = np.sqrt(U_RULE[1]).reshape(-1, _U_BLOCK)
     # factor 2: the integrand is even in lam, so (0, pi) is doubled
-    root_wl = np.sqrt(2.0 * wl)
+    root_wl = np.sqrt(2.0 * _LAMBDA_RULE[1])
     gamma = np.zeros((len(values), len(values)))
-    for start in range(0, len(xu), _U_BLOCK):
-        block = slice(start, start + _U_BLOCK)
-        grad = log_spectral_gradient_grid(model, values, xu[block], xl)
-        grad *= np.sqrt(wu[block])[:, None] * root_wl
+    for table, root in zip(_u_tables(model, _U_BLOCK), root_wu):
+        grad = log_spectral_gradient_grid(model, values, table,
+                                          _LAMBDA_KERNELS)
+        grad *= root[:, None] * root_wl
         flat = grad.reshape(len(values), -1)
         gamma += flat @ flat.T
     gamma /= 4.0 * np.pi
@@ -169,9 +170,9 @@ def _catalog_model(example_id: str, freqs: tuple) -> ModelSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def _u_slots(model: ModelSpec) -> tuple:
-    """The model's slot table on the u rule, built once per model."""
-    return slot_table(model, U_RULE[0])
+def _u_tables(model: ModelSpec, block: int) -> tuple:
+    """The model's slot tables on the u rule, ``block`` nodes each."""
+    return tuple(slot_table(model, u) for u in U_RULE[0].reshape(-1, block))
 
 
 def gamma_exact(model: ModelSpec, theta) -> GammaMatrix:
@@ -193,17 +194,12 @@ def gamma_closed(example_id: str, theta, freqs=(1.0, 2.0)) -> GammaMatrix:
 def _gamma_exact(model: ModelSpec, theta, provenance: str) -> GammaMatrix:
     values = theta_values(model, theta)
     require_feasible(model, values)
-    table = _u_slots(model)
-    xu, wu = U_RULE
-    curves = np.empty((len(xu), len(table)))
-    jac = np.zeros((len(xu), len(table), len(values)))  # J(u), curve by column
-    for k, slot in enumerate(table):
-        linkinv, dlink = LINKS[slot.spec.link][:2]
-        eta = slot.design @ values[slot.index]
-        curves[:, k] = linkinv(eta)  # bounded: theta is feasible
-        jac[:, k, slot.index] = slot.design * dlink(eta)[:, None]
+    table, = _u_tables(model, len(U_RULE[0]))
+    # the curves (bounded: theta is feasible) and J(u), curve by row
+    curves, jac = curve_kernels(table, values)[:2]
+    jac = jac.copy()
     jac[:, 1] /= curves[:, 1:2]  # sigma's 1/sigma, so G holds 2 under any link
-    gram = np.zeros((len(xu), len(table), len(table)))
+    gram = np.zeros((len(curves), len(table), len(table)))
     gram[:, 0, 0] = PI2_6
     gram[:, 1, 1] = 2.0
     # AR/MA curves: a = sign * c, s = g * sign
@@ -215,7 +211,7 @@ def _gamma_exact(model: ModelSpec, theta, provenance: str) -> GammaMatrix:
     gram[:, 0, 2:] = gram[:, 2:, 0] = s * (np.log1p(a) + zero) / (a + zero)
     gram[:, 2:, 2:] = s[:, None] * s / (1.0 - a[:, :, None] * a[:, None, :])
     # Gamma = sum_u w_u J' G J: one batched product, then one Gram product
-    weighted = (jac * wu[:, None, None]).reshape(-1, len(values))
+    weighted = (jac * U_RULE[1][:, None, None]).reshape(-1, len(values))
     mat = weighted.T @ (gram @ jac).reshape(-1, len(values))
     mat = 0.5 * (mat + mat.T)
     _check_fisher(mat, f"{provenance} Fisher matrix")

@@ -57,9 +57,10 @@ def gauss_legendre(n: int, lo, hi):
     return (mid + half * x).ravel(), (half * w).ravel()
 
 
-def read_only(nodes, weights):
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 # The u rule of every Fisher integral; the feasible set checks its nodes.
@@ -126,28 +127,13 @@ class BasisSpec:
         return np.column_stack(cols)
 
 
-def _link_identity(eta):
-    return eta
-
-
-def _dlink_identity(eta):
-    return np.ones_like(np.asarray(eta, dtype=float))
-
-
 def _link_log(eta):
     # clamp so a wandering optimizer cannot overflow exp()
-    return np.exp(np.clip(eta, -700.0, 700.0))
+    return np.exp(np.minimum(np.maximum(eta, -700.0), 700.0))
 
 
-def _d2link_identity(eta):
-    return np.zeros(np.shape(eta))
-
-
-# link^{-1} and its first and second derivatives in eta
-LINKS = {
-    "identity": (_link_identity, _dlink_identity, _d2link_identity),
-    "log": (_link_log, _link_log, _link_log),  # every derivative of exp is exp
-}
+# link^{-1} by name; every derivative of exp, the log link's, is exp
+LINKS = {"identity": lambda eta: eta, "log": _link_log}
 
 
 @dataclass(frozen=True)
@@ -265,7 +251,19 @@ class Slot(NamedTuple):
     index: slice        # the curve's coefficients in the packed vector
 
 
-def slot_table(model: ModelSpec, u) -> tuple:
+class SlotTable(tuple):
+    """The slots of a model's curves at points u (slot_table), read-only."""
+
+    @functools.cached_property
+    def design(self) -> np.ndarray:
+        """Shape (n_u, n_slots, n_params): each slot's basis in its columns."""
+        out = np.zeros((len(self[0].design), len(self), self[-1].index.stop))
+        for k, slot in enumerate(self):
+            out[:, k, slot.index] = slot.design
+        return read_only(out)[0]
+
+
+def slot_table(model: ModelSpec, u) -> SlotTable:
     """The slots of every curve at the points u, in packed order.
 
     Build it once per (model, u): the objective, log f, its score and
@@ -273,13 +271,13 @@ def slot_table(model: ModelSpec, u) -> tuple:
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     sl = model.slices()
-    return tuple(Slot(key, spec, spec.basis.design_matrix(u), sl[key])
-                 for key, spec in model.curves())
+    return SlotTable(Slot(key, spec, read_only(spec.basis.design_matrix(u))[0],
+                          sl[key]) for key, spec in model.curves())
 
 
 def slot_values(table: tuple, values: np.ndarray) -> dict:
     """Curve values link^{-1}(design @ coeffs) at the table's points, by slot."""
-    return {s.key: LINKS[s.spec.link][0](s.design @ values[s.index])
+    return {s.key: LINKS[s.spec.link](s.design @ values[s.index])
             for s in table}
 
 
@@ -380,7 +378,7 @@ def validate_params(model: ModelSpec, theta) -> ConstraintReport:
     violations = []
     inside = (eta >= lo - FEASIBILITY_TOL) & (eta <= hi + FEASIBILITY_TOL)
     for i in np.flatnonzero(~inside):
-        linkinv = LINKS[dict(model.curves())[keys[i]].link][0]
+        linkinv = LINKS[dict(model.curves())[keys[i]].link]
         violations.append((keys[i], float(points[i]), float(linkinv(eta[i])),
                            curve_bounds(keys[i])[int(eta[i] > hi[i])]))
     return ConstraintReport(feasible=not violations, violations=tuple(violations))
@@ -452,46 +450,39 @@ def log_density(table: tuple, curves: dict, freqs: Frequencies) -> np.ndarray:
     return logf
 
 
-def log_density_score(table: tuple, values: np.ndarray, freqs: Frequencies,
-                      second: bool = False):
-    """Analytic score d log f / d theta on the (u, lam) grid.
-
-    Shape (n_params, n_u, n_lam): each coefficient's design column times
-    link'(eta) times h' = d log f / dc.  With ``second``, the pair (score,
-    curvature): curvature[k], shape (n_u, n_lam), is d^2 log f / d eta^2 =
-    link'(eta)^2 h'' + link''(eta) h' of slot k, so the Hessian of log f in
-    that slot's coefficients is design' diag(curvature[k]) design at each
-    (u, lam), and zero across slots.  The kernels h' and h'' = d^2 log f /
-    dc^2 are, for d: -2 log(2 sin|lam|/2) and 0; for sigma: 2 / sigma and
-    -2 / sigma^2; for an MA (+) or AR (-) curve c, with a = sign * c and
-    q = 1 + 2 a cos lam + a^2: +-2 sign (cos lam + a) / q and
-    +-2 (q - 2 (cos lam + a)^2) / q^2 = +-(2 / q - h'^2).
-    """
-    n_u, n_lam = len(table[0].design), len(freqs.half2)
-    score = np.empty((table[-1].index.stop, n_u, n_lam))
-    curvature = np.empty((len(table), n_u, n_lam)) if second else None
-    for k, slot in enumerate(table):
-        linkinv, dlink, d2link = LINKS[slot.spec.link]
-        eta = slot.design @ values[slot.index]
-        c = linkinv(eta)[:, None]
-        if slot.key == "d":
-            h, h2 = -freqs.half2, 0.0
-        elif slot.key == "sigma":
-            h, h2 = 2.0 / c, -2.0 / (c * c)
-        else:
-            g = 1.0 if slot.key.startswith("ma") else -1.0
-            a = slot.spec.sign * c
-            q = 1.0 + 2.0 * a * freqs.coslam + a * a
-            h = 2.0 * g * slot.spec.sign * (freqs.coslam + a) / q
-            h2 = g * (2.0 / q - h * h) if second else None
-        dl = dlink(eta)[:, None]
-        score[slot.index] = (slot.design * dl).T[:, :, None] * h
-        if second:
-            curvature[k] = dl * dl * h2
-            d2l = d2link(eta)
-            if d2l.any():  # zero under the identity link
-                curvature[k] += d2l[:, None] * h
-    return (score, curvature) if second else score
+def curve_kernels(table: SlotTable, values: np.ndarray, freqs=None,
+                  second: bool = False) -> tuple:
+    """(c, J, h', d^2 log f / d eta^2) at the table's points u: the curves,
+    shape (n_u, n_slots), and their chain factor J = dc/dtheta = design
+    link'(eta), shape (n_u, n_slots, n_params), shared by the score J' h',
+    the Whittle derivatives and the exact Fisher matrix; with ``freqs`` and
+    ``second``, each slot's h' = d log f / dc and d^2 log f / d eta^2 =
+    link'^2 h'' + link'' h' on the (u, lam) grid (broadcasting to (n_u,
+    n_lam)).  h' and h'' are -2 log(2 sin|lam|/2) and 0 for d, 2 / sigma
+    and -2 / sigma^2 for sigma, and +-2 sign (cos lam + a) / q and +-(2 / q
+    - h'^2) for an MA (+) or AR (-) curve: a = sign c, q = 1 + 2 a cos lam
+    + a^2."""
+    n_u, n_slots, n_params = table.design.shape
+    eta = (table.design.reshape(-1, n_params) @ values).reshape(n_u, n_slots)
+    curves, jac = eta, table.design  # under the identity link
+    logs = [k for k, slot in enumerate(table) if slot.spec.link == "log"]
+    if logs:  # there link' = link'' = c
+        curves, dl = eta.copy(), np.ones_like(eta)
+        curves[:, logs] = dl[:, logs] = _link_log(eta[:, logs])
+        jac = table.design * dl[:, :, None]
+    if freqs is None:
+        return curves, jac, None, None
+    sigma = curves[:, 1:2]
+    h1, h2 = [-freqs.half2, 2.0 / sigma], [0.0, -2.0 / (sigma * sigma)]
+    for k, slot in enumerate(table[2:], 2):  # the AR/MA slots
+        g = 1.0 if slot.key.startswith("ma") else -1.0
+        a = slot.spec.sign * curves[:, k:k + 1]
+        q = 1.0 + 2.0 * a * freqs.coslam + a * a
+        h1.append(2.0 * g * slot.spec.sign * (freqs.coslam + a) / q)
+        h2.append(g * (2.0 / q - h1[k] * h1[k]) if second else None)
+    for k in logs if second else ():  # c^2 h'' + c h'
+        h2[k] = dl[:, k, None] ** 2 * h2[k] + dl[:, k, None] * h1[k]
+    return curves, jac, tuple(h1), tuple(h2) if second else None
 
 
 def spectral_density(model: ModelSpec, theta, u, lam):
@@ -505,10 +496,15 @@ def spectral_density(model: ModelSpec, theta, u, lam):
 
 
 def log_spectral_gradient_grid(model: ModelSpec, theta, u, lam) -> np.ndarray:
-    """Gradient of log f with respect to theta on a (u, lam) tensor grid.
-
-    Returns shape (n_params, len(u), len(lam)); every entry is analytic
-    (see log_density_score).
-    """
-    return log_density_score(slot_table(model, u), theta_values(model, theta),
-                             frequencies(lam))
+    """The analytic score d log f / d theta on a (u, lam) tensor grid, shape
+    (n_params, len(u), len(lam)): J (x) h' of curve_kernels.  A caller that
+    reuses its points may pass u as slot_table(model, u), lam as
+    frequencies(lam)."""
+    values = theta_values(model, theta)
+    table = u if isinstance(u, SlotTable) else slot_table(model, u)
+    freqs = lam if isinstance(lam, Frequencies) else frequencies(lam)
+    _, jac, h1, _ = curve_kernels(table, values, freqs)
+    score = np.empty((len(values), len(jac), len(freqs.half2)))
+    for k, slot in enumerate(table):
+        score[slot.index] = jac[:, k, slot.index].T[:, :, None] * h1[k]
+    return score

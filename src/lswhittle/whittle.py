@@ -25,6 +25,7 @@ so L is finite everywhere, continuous, pure, and deterministic.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ from scipy.optimize import LinearConstraint, OptimizeResult, minimize
 from .spectral import BlockPlan, LocalPeriodogram, Taper, local_periodogram
 from .tvmodel import (ModelSpec, ParamVector, _constraint_rows,
                       active_check_points, box_coordinates, curve_bounds,
-                      frequencies, log_density, log_density_score,
+                      curve_kernels, frequencies, log_density, read_only,
                       slot_table, slot_values, theta_values, validate_params)
 
 PENALTY_SCALE = 1e3
@@ -49,34 +50,34 @@ ACTIVE_EPS = 1e-3
 RCOND = 1e-10
 
 
+@functools.lru_cache(maxsize=64)
+def _objective_tables(model: ModelSpec, plan: BlockPlan, lam: bytes) -> tuple:
+    """Read-only: the slot table at the block midpoints, each curve's box,
+    the kernels at the frequencies lam (bytes), w_k and 1 / (4 pi M)."""
+    table, freqs = slot_table(model, plan.u), frequencies(np.frombuffer(lam))
+    w = np.full(len(freqs.half2), 2.0 * (2.0 * np.pi / plan.N))
+    if plan.N % 2 == 0:
+        w[-1] = 2.0 * np.pi / plan.N  # Nyquist is its own mirror image
+    read_only(*freqs, w)
+    return (table, tuple(curve_bounds(slot.key) for slot in table), freqs,
+            w, 1.0 / (4.0 * np.pi * plan.M))
+
+
 class WhittleObjective:
     """Callable objective over the packed coefficient vector.
 
-    Precomputes the slot table at the block midpoints, each curve's box
-    and the frequency kernels, so one evaluation is a handful of small
-    vectorized array ops.  A call inside the box keeps its I/f for a
-    derivatives() call at the same theta; the values returned depend on
-    theta alone.
+    Its tables are built once per (model, plan) (_objective_tables), so one
+    evaluation is a handful of small vectorized array ops.  A call inside
+    the box keeps its I/f for a derivatives() call at the same theta; the
+    values returned depend on theta alone.
     """
 
     def __init__(self, periodogram: LocalPeriodogram, model: ModelSpec):
         self.model = model
-        plan = periodogram.plan
-        self.plan = plan
+        self.plan = periodogram.plan
         self.ordinates = periodogram.ordinates
-        self._freqs = frequencies(periodogram.freqs)
-        w = np.full(len(periodogram.freqs), 2.0 * (2.0 * np.pi / plan.N))
-        if plan.N % 2 == 0:
-            w[-1] = 2.0 * np.pi / plan.N  # Nyquist is its own mirror image
-        self._w = w
-        self._slots = slot_table(model, plan.u)
-        self._bounds = [curve_bounds(slot.key) for slot in self._slots]
-        self._norm = 1.0 / (4.0 * np.pi * plan.M)
-        # every slot's design in one (block, slot) x coefficient matrix
-        design = np.zeros((plan.M, len(self._slots), model.n_params))
-        for k, slot in enumerate(self._slots):
-            design[:, k, slot.index] = slot.design
-        self._design = design.reshape(-1, model.n_params)
+        self._slots, self._bounds, self._freqs, self._w, self._norm = \
+            _objective_tables(model, self.plan, periodogram.freqs.tobytes())
         # I/f at the last point __call__ saw inside the box: derivatives()
         # at the same theta reads it instead of rebuilding log f
         self._last_ratio = (None, None)
@@ -106,32 +107,39 @@ class WhittleObjective:
 
     def derivatives(self, theta) -> "Derivatives":
         """Gradient, Hessian and Gauss-Newton matrix of L inside the feasible
-        polytope (no clip, no penalty), from one score assembly:
+        polytope (no clip, no penalty), the J'GJ contraction of block j's
+        chain factor J_j = dc/dtheta and h' = d log f / dc (curve_kernels)
+        with G_j = sum_k w (I/f) h' h'^T, g_j = sum_k w (1 - I/f) h' and
+        r_j = sum_k w (1 - I/f) d^2 log f / d eta^2:
 
-            g  = norm sum_j sum_k w (1 - I/f) s
-            H  = norm sum_j sum_k w [(I/f) s s' + (1 - I/f) d2 log f]
-            GN = norm sum_j sum_k w (I/f) s s'
+            g = norm sum_j J_j' g_j,  GN = norm sum_j J_j' G_j J_j,
+            H = GN + norm sum_j design_j' diag(r_j) design_j.
 
-        with s = dlog f/dtheta.  d2 log f is block-diagonal by curve,
-        design' diag(d2 log f / d eta^2) design (log_density_score).  GN,
-        the first part of H, is positive semidefinite.
-        """
+        GN is positive semidefinite.  Where I/f overflows the entries are
+        not finite, without a warning."""
         values = theta_values(self.model, theta)
+        _, jac, h1, h2 = curve_kernels(self._slots, values, self._freqs,
+                                       second=True)
+        # h' and d^2 log f / d eta^2 of every (block, slot), by frequency
+        kernels = np.empty((2, *jac.shape[:2], len(self._w)))
+        for k in range(len(self._slots)):
+            kernels[0, :, k], kernels[1, :, k] = h1[k], h2[k]
+        h1 = kernels[0]
         key, ratio = self._last_ratio
-        if key != values.tobytes():
-            curves = {k: c[:, None]
-                      for k, c in slot_values(self._slots, values).items()}
-            ratio = self.ordinates * np.exp(-log_density(self._slots, curves,
-                                                         self._freqs))
-        score, curvature = log_density_score(self._slots, values,
-                                             self._freqs, second=True)
-        score = score.reshape(len(values), -1)
-        resid = (1.0 - ratio) * self._w
-        gauss_newton = (score * (ratio * self._w).ravel()) @ score.T
-        r = (curvature * resid).sum(axis=2).T.reshape(-1, 1)
-        hessian = gauss_newton + self._design.T @ (r * self._design)
-        return Derivatives(self._norm * (score @ resid.ravel()),
-                           self._norm * hessian, self._norm * gauss_newton)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if key != values.tobytes():
+                curves = {k: c[:, None]
+                          for k, c in slot_values(self._slots, values).items()}
+                ratio = self.ordinates * np.exp(
+                    -log_density(self._slots, curves, self._freqs))
+            g, r = (kernels @ ((1.0 - ratio) * self._w)[:, :, None])[..., 0]
+            gram = (h1 * (ratio * self._w)[:, None]) @ h1.transpose(0, 2, 1)
+            flat = jac.reshape(-1, len(values))
+            gauss_newton = flat.T @ (gram @ jac).reshape(flat.shape)
+            design = self._slots.design.reshape(flat.shape)
+            hessian = gauss_newton + design.T @ (r.reshape(-1, 1) * design)
+            return Derivatives(self._norm * (g.ravel() @ flat),
+                               self._norm * hessian, self._norm * gauss_newton)
 
     def gradient(self, theta) -> np.ndarray:
         """norm sum_j sum_k w_k (1 - I/f) dlog f/dtheta: the gradient of L
@@ -230,7 +238,7 @@ def projected_newton(objective: WhittleObjective, x0, box) -> OptimizeResult:
         d = -g / (scale * scale)  # the diagonally scaled gradient step
         towards = np.where(g > 0.0, z - lo, hi - z)  # to the bound g pushes at
         active = towards <= np.minimum(ACTIVE_EPS, np.abs(d))
-        free = ~active
+        free = ~active if active.any() else slice(None)
         d[free], decrement = newton_step(H[free][:, free], gn[free][:, free],
                                          g[free], scale[free])
         if decrement <= NEWTON_TOL and not towards[active].any():
@@ -261,17 +269,17 @@ def newton_step(H, gn, g, scale):
 
     Scaled by 1 / scale on both sides (scale^2 is gn's diagonal, or 1
     where that is 0), H is used when positive definite (condition better
-    than 1 / RCOND), else gn (positive semidefinite).  A singular gn gives the least-squares step on its
-    range plus the scaled gradient step off it, so the step vanishes only
-    with the gradient.
+    than 1 / RCOND), else gn (positive semidefinite).  A singular gn gives
+    the least-squares step on its range plus the scaled gradient step off
+    it, so the step vanishes only with the gradient.
     """
     if not g.size:
         return g, 0.0
     g = g / scale
     for matrix in (H, gn):
-        lam, vec = np.linalg.eigh(matrix / np.outer(scale, scale))
+        lam, vec = np.linalg.eigh(matrix / (scale[:, None] * scale))
         if lam[0] > RCOND * lam[-1]:
-            rest = np.zeros_like(g)
+            rest = 0.0
             break
     else:
         keep = lam > RCOND * lam[-1]
@@ -279,7 +287,7 @@ def newton_step(H, gn, g, scale):
         rest = g - vec @ (g @ vec)  # the gradient off gn's range
     proj = g @ vec
     newton = proj / lam
-    return -(vec @ newton + rest) / scale, proj @ newton + rest @ rest
+    return -(vec @ newton + rest) / scale, proj @ newton + np.dot(rest, rest)
 
 
 def estimate(data, model: ModelSpec, plan: BlockPlan, taper: Taper,

@@ -140,3 +140,64 @@ def einsum_gamma(model, theta):
     grad = log_spectral_gradient_grid(model, theta, xu, xl)
     gamma = np.einsum("a,b,iab,jab->ij", wu, 2.0 * wl, grad, grad) / (4.0 * np.pi)
     return 0.5 * (gamma + gamma.T)
+
+
+def score_tensor_derivatives(objective, theta):
+    """Gradient, Hessian and Gauss-Newton matrix of a WhittleObjective from
+    the full score tensor, as the objective computed them before the J'GJ
+    contraction.
+
+    s = d log f / d theta on the (block midpoint, Fourier frequency) grid
+    comes from log_spectral_gradient_grid and f from spectral_density; the
+    second derivatives of log f are written out here curve by curve, as
+    design' diag(d^2 log f / d eta^2) design with d^2 log f / d eta^2 =
+    link'^2 h'' + link'' h'.  Then, with R = I/f and weights w,
+
+        g  = norm sum w (1 - R) s
+        GN = norm sum w R s s'
+        H  = GN + norm sum w (1 - R) d^2 log f / d theta^2
+    """
+    model, plan = objective.model, objective.plan
+    theta = np.asarray(theta, dtype=float)
+    n = plan.N
+    lam = 2.0 * math.pi * np.arange(1, n // 2 + 1) / n
+    w = np.full(len(lam), 2.0 * (2.0 * math.pi / n))
+    if n % 2 == 0:
+        w[-1] *= 0.5
+    norm = 1.0 / (4.0 * math.pi * plan.M)
+    u = plan.u
+    ratio = objective.ordinates / spectral_density(model, theta, u[:, None],
+                                                   lam[None, :])
+    resid = (1.0 - ratio) * w
+    score = log_spectral_gradient_grid(model, theta, u, lam)
+    score = score.reshape(len(theta), -1)
+    gradient = norm * (score @ resid.ravel())
+    gauss_newton = norm * ((score * (ratio * w).ravel()) @ score.T)
+    hessian = gauss_newton.copy()
+    cos = np.cos(lam)
+    for (key, spec), index in zip(model.curves(), model.slices().values()):
+        design = spec.basis.design_matrix(u)
+        eta = design @ theta[index]
+        if spec.link == "log":
+            c = np.exp(eta)
+            dlink, d2link = c, c
+        else:
+            c, dlink, d2link = eta, np.ones_like(eta), np.zeros_like(eta)
+        c = c[:, None]
+        if key == "d":
+            h1 = np.broadcast_to(-2.0 * np.log(2.0 * np.sin(lam / 2.0)),
+                                 ratio.shape)
+            h2 = np.zeros(ratio.shape)
+        elif key == "sigma":
+            h1 = np.broadcast_to(2.0 / c, ratio.shape)
+            h2 = np.broadcast_to(-2.0 / c ** 2, ratio.shape)
+        else:
+            g = 1.0 if key.startswith("ma") else -1.0
+            a = spec.sign * c
+            q = 1.0 + 2.0 * a * cos + a * a
+            h1 = 2.0 * g * spec.sign * (cos + a) / q
+            h2 = g * 2.0 * (q - 2.0 * (cos + a) ** 2) / q ** 2
+        curvature = dlink[:, None] ** 2 * h2 + d2link[:, None] * h1
+        r = (curvature * resid).sum(axis=1)
+        hessian[index, index] += norm * (design.T @ (r[:, None] * design))
+    return gradient, hessian, gauss_newton

@@ -14,7 +14,8 @@ from lswhittle import (BasisSpec, CurveSpec, ModelSpec, mcharness, simulator,
                        spectral, spectral_density, tvmodel, whittle)
 from lswhittle.asymptotics import catalog_model
 
-from oracles import fd_gradient, naive_periodogram, naive_whittle
+from oracles import (fd_gradient, naive_periodogram, naive_whittle,
+                     score_tensor_derivatives)
 
 POLY0 = BasisSpec("polynomial", 0)
 POLY1 = BasisSpec("polynomial", 1)
@@ -288,6 +289,49 @@ class TestHessian:
         assert np.linalg.eigvalsh(gauss_newton).min() >= 0.0
 
 
+LOG_LINK_AR = ModelSpec(d=CurveSpec(POLY1, link="log"),
+                        sigma=CurveSpec(POLY0, link="log"),
+                        ar=(CurveSpec(POLY1, link="log", sign=-1),))
+CONTRACTION_CASES = {**{family: (catalog_model(family), centre)
+                        for family, centre in CATALOG_CENTRES.items()},
+                     "log-link-ar": (LOG_LINK_AR,
+                                     [-1.6, 0.3, -0.2, -1.0, 0.4])}
+
+
+def on_a_bound(model, centre, rng):
+    """The point where the ray from centre in a random direction leaves the
+    feasible polytope: one constraint row holds with equality there."""
+    A, lo, hi = tvmodel._constraint_rows(model)[:3]
+    direction = rng.standard_normal(len(centre))
+    eta, step = A @ centre, A @ direction
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(step > 0.0, (hi - eta) / step, (lo - eta) / step)
+    return centre + np.nanmin(np.where(reach > 0.0, reach, np.inf)) * direction
+
+
+class TestContraction:
+    """derivatives (the J'GJ contraction of per-curve kernels) against the
+    score-tensor reference of tests/oracles.py."""
+
+    @pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
+    @pytest.mark.parametrize("n,s", [(32, 16), (33, 19)])  # even and odd N
+    def test_matches_score_tensor(self, case, n, s):
+        model, centre = CONTRACTION_CASES[case]
+        centre = np.array(centre)
+        data = sim(ma_model(), SEC4_TRUTH, 128, seed=4)
+        obj, _ = make_objective(model, data, spectral.make_plan(128, n, s))
+        rng = np.random.default_rng(n)
+        points = [centre, *(on_a_bound(model, centre, rng) for _ in range(3))]
+        for theta in points:
+            assert tvmodel.validate_params(model, theta).feasible
+            for got, want in zip(obj.derivatives(theta),
+                                 score_tensor_derivatives(obj, theta)):
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # the last point lies on a bound: some check point is active
+        assert tvmodel.active_check_points(model, points[-1])
+
+
 class TestStartingPoint:
     def test_documented_start(self):
         model = ma_model()
@@ -352,6 +396,20 @@ class TestEstimate:
             with pytest.raises(ValueError, match=re.escape(
                     f"data of scale {np.max(np.abs(data)):.3g} overflow")):
                 whittle.estimate(data, model, plan, taper)
+
+    def test_overflowing_derivatives_stop_without_warning(self):
+        # The periodogram and the sample SD of this path are finite, but
+        # I/f overflows at the start: the fit stops unconverged, and
+        # derivatives() returns non-finite entries without a warning.
+        model = ma_model()
+        data = sim(model, SEC4_TRUTH, 256, seed=5) * 6e152
+        plan = spectral.make_plan(256, 64, 32)
+        taper = spectral.taper_weights("cosine", 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = whittle.estimate(data, model, plan, taper, start=SEC4_TRUTH)
+        assert not fit.converged
+        assert fit.message == "derivatives not finite"
 
     def test_estimate_deterministic(self):
         model = fn_model()
